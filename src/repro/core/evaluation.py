@@ -59,6 +59,11 @@ class PackState(ABC):
 class AssignmentEvaluator(ABC):
     """Values a prospective tasks-to-instance assignment in $/hr."""
 
+    #: True when every set's value is at most ``Σ task_rp(τ)`` over its
+    #: members.  Algorithm 1 then skips pack attempts whose feasible
+    #: candidates' summed RP cannot cover the instance cost.
+    values_bounded_by_rp: bool = False
+
     @abstractmethod
     def task_rp(self, task: Task) -> float:
         """Reservation price of a single task."""
@@ -126,6 +131,8 @@ class RPEvaluator(AssignmentEvaluator):
     """Plain reservation price: ``RP(T) = Σ RP(τ)`` (interference-blind)."""
 
     calculator: ReservationPriceCalculator
+
+    values_bounded_by_rp = True  # the value *is* the summed RP
 
     def task_rp(self, task: Task) -> float:
         return self.calculator.rp(task)
@@ -258,8 +265,7 @@ class _TNRPPackState(PackState):
         in the same accumulation order: member i sees neighbours
         ``ws[:i] + ws[i+1:] + [w_cand]``, the candidate sees ``ws``.
         Both the member sum and the candidate's throughput depend on the
-        candidate only through its workload, hence the per-workload memo
-        (shared by the scalar scan and the vector kernel).
+        candidate only through its workload, hence the per-workload memo.
         """
         entry = self._scan_cache.get(workload)
         if entry is None:
@@ -337,6 +343,11 @@ class TNRPEvaluator(AssignmentEvaluator):
     #: Memoized RP(j) (or None when §4.4 does not apply) per job id; jobs
     #: and their RPs are fixed for this evaluator's lifetime (one round).
     _job_rp_cache: dict[str, float | None] = field(default_factory=dict, repr=False)
+
+    #: Each member's TNRP is ``tput·RP(τ)`` or ``RP(τ) − (1−tput)·charge``
+    #: with ``tput ≤ 1`` (the table clamps) and a non-negative charge —
+    #: never above ``RP(τ)``.  Urgency ``u ≥ 1`` only scales the charge.
+    values_bounded_by_rp = True
 
     def __post_init__(self) -> None:
         # The shared caches hold RP-derived values; make sure they were

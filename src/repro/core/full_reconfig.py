@@ -24,18 +24,23 @@ the multi-task-aware evaluator — job arity), reducing the paper's
 O(|T|²) scan to roughly O(|T|·|groups|) without changing results;
 ``group_identical=False`` restores the faithful per-task scan (both are
 measured in the Table 5 bench).
+
+For evaluators whose set value never exceeds the summed single-task RP
+(``values_bounded_by_rp``), a pack attempt whose feasible groups' RPs
+already fall short of the instance cost is skipped outright when it
+provably cannot disturb the pool (:meth:`_TaskPool.provably_rejected`):
+the rejection it would end in is known before the greedy runs.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.cluster.instance import Instance, InstanceType, fresh_instance
 from repro.cluster.resources import ResourceVector
 from repro.cluster.task import Task
-from repro.core import pack_kernel
 from repro.core.evaluation import AssignmentEvaluator
 
 _EPS = 1e-9
@@ -83,16 +88,6 @@ class _TaskPool:
         self._buckets = buckets
         self._ordered_keys = sorted(buckets)
         self._size = size
-        #: Mutation counter backing the fingerprint cache: Algorithm 1
-        #: fingerprints the pool once per (type, state) pack attempt, and
-        #: consecutive attempts over an unmutated pool reuse the tuple.
-        self._rev = 0
-        self._fp_rev = -1
-        self._fp: tuple = ()
-        #: Per-type restricted fingerprints (type name → (rev, fp)) and
-        #: per-(group, family) demand triples backing them.
-        self._fp_by_type: dict[str, tuple[int, tuple]] = {}
-        self._demand_by_key: dict[tuple, tuple[float, float, float]] = {}
 
     def _key(self, task: Task) -> tuple:
         key = self._key_by_id.get(task.task_id)
@@ -125,14 +120,12 @@ class _TaskPool:
             )
         popped = bucket.pop()
         self._size -= 1
-        self._rev += 1
         if not bucket:
             del self._buckets[key]
             del self._ordered_keys[bisect_left(self._ordered_keys, key)]
         return popped
 
     def push_back(self, tasks: Sequence[Task]) -> None:
-        self._rev += 1
         for task in tasks:
             key = self._key(task)
             bucket = self._buckets.get(key)
@@ -151,52 +144,54 @@ class _TaskPool:
         identically iff their fingerprints match (given the same
         evaluator state).
         """
-        if self._fp_rev != self._rev:
-            buckets = self._buckets
-            self._fp = tuple(
-                (key, tuple(t.task_id for t in buckets[key]))
-                for key in self._ordered_keys
-            )
-            self._fp_rev = self._rev
-        return self._fp
+        buckets = self._buckets
+        return tuple(
+            (key, tuple(t.task_id for t in buckets[key]))
+            for key in self._ordered_keys
+        )
 
-    def fingerprint_for(self, itype: InstanceType) -> tuple:
-        """Fingerprint restricted to groups feasible on an empty ``itype``.
+    def provably_rejected(
+        self, itype: InstanceType, rp_of: Callable[[Task], float]
+    ) -> bool:
+        """Whether a pack attempt on ``itype`` must fail the cost test
+        (line 14) without changing the pool — so it can be skipped.
 
-        A group whose demand exceeds the type's full capacity can never
-        be chosen by the greedy scan (remaining capacity only shrinks),
-        so it cannot influence the pack outcome or the pop sequence —
-        two pools that agree on their feasible groups pack identically
-        on this type.  Feasibility mirrors :class:`_ArgmaxScan`'s test
-        (same ``_EPS`` slack) at full capacity.  All tasks in a group
-        share a demand signature, so the representative's demand decides
-        for the whole bucket.
+        Only valid for evaluators with ``values_bounded_by_rp``: any set
+        the greedy can open holds at most one task per feasible group
+        here, so its value is at most the summed RP of the feasible
+        representatives.  Feasibility mirrors :class:`_ArgmaxScan`'s
+        test (same ``_EPS`` slack) at full capacity; a group whose
+        demand fits twice, and whose bucket holds a second task, makes
+        the answer False, since a rejected attempt that popped two of
+        its tasks would rotate the bucket on ``push_back``.  The float
+        slack covers summation-order rounding against the greedy's own
+        accumulation, so a True answer is exact, never approximate.
         """
-        cached = self._fp_by_type.get(itype.name)
-        if cached is not None and cached[0] == self._rev:
-            return cached[1]
         cap = itype.capacity
         family = itype.family
-        max_g = cap.gpus + _EPS
-        max_c = cap.cpus + _EPS
-        max_r = cap.ram_gb + _EPS
-        demands = self._demand_by_key
+        cap_g, cap_c, cap_r = cap.gpus, cap.cpus, cap.ram_gb
+        max_g, max_c, max_r = cap_g + _EPS, cap_c + _EPS, cap_r + _EPS
+        limit = itype.hourly_cost - _EPS
+        bound = 0.0
         buckets = self._buckets
-        parts = []
         for key in self._ordered_keys:
             bucket = buckets[key]
-            dkey = (key, family)
-            d = demands.get(dkey)
-            if d is None:
-                vec = bucket[-1].demand_for(family)
-                d = (vec.gpus, vec.cpus, vec.ram_gb)
-                demands[dkey] = d
-            if d[0] > max_g or d[1] > max_c or d[2] > max_r:
-                continue
-            parts.append((key, tuple(t.task_id for t in bucket)))
-        fp = tuple(parts)
-        self._fp_by_type[itype.name] = (self._rev, fp)
-        return fp
+            rep = bucket[-1]
+            vec = rep.demand_for(family)
+            g, c, r = vec.gpus, vec.cpus, vec.ram_gb
+            if g > max_g or c > max_c or r > max_r:
+                continue  # never fits, so never chosen
+            if (
+                len(bucket) > 1
+                and g <= max(0.0, cap_g - g) + _EPS
+                and c <= max(0.0, cap_c - c) + _EPS
+                and r <= max(0.0, cap_r - r) + _EPS
+            ):
+                return False
+            bound += rp_of(rep)
+            if bound + 1e-6 * (1.0 + bound) >= limit:
+                return False
+        return True
 
     def drain(self) -> list[Task]:
         """Remove and return every task, in pop order (ascending group
@@ -209,7 +204,6 @@ class _TaskPool:
         self._buckets = {}
         self._ordered_keys = []
         self._size = 0
-        self._rev += 1
         return drained
 
 
@@ -257,6 +251,18 @@ class _ArgmaxScan:
             self._demand[task.task_id] = demand
         return demand
 
+    def fits_any(self) -> bool:
+        """Whether some current representative fits the remaining capacity."""
+        max_gpus = self._gpus + _EPS
+        max_cpus = self._cpus + _EPS
+        max_ram = self._ram + _EPS
+        buckets = self._pool._buckets
+        for key in self._pool._ordered_keys:
+            gpus, cpus, ram = self._demand_of(buckets[key][-1])
+            if gpus <= max_gpus and cpus <= max_cpus and ram <= max_ram:
+                return True
+        return False
+
     def best(self, state) -> tuple[Task | None, float]:
         """The feasible candidate maximizing ``value_with``, and its value."""
         evaluator = self._evaluator
@@ -298,65 +304,25 @@ class _ArgmaxScan:
         return best_task, best_rank[0]
 
 
-def _make_scan(
-    pool: _TaskPool, evaluator: AssignmentEvaluator, capacity, family: str
-):
-    """Pick the argmax implementation for one pack attempt.
-
-    The vectorized kernel (``EVA_PACK_KERNEL=numpy``, the default) takes
-    over when the pool is wide enough for the array setup to pay off;
-    both implementations make bit-identical decisions, so the choice is
-    pure mechanism (see :mod:`repro.core.pack_kernel`).
-    """
-    if pack_kernel.should_vectorize(evaluator, len(pool._ordered_keys)):
-        return pack_kernel.VectorScan(pool, evaluator, capacity, family)
-    return _ArgmaxScan(pool, evaluator, capacity, family)
-
-
 def _pack_one_instance(
     itype: InstanceType,
     pool: _TaskPool,
     evaluator: AssignmentEvaluator,
-    memo: "PackMemo | None" = None,
-    token: tuple | None = None,
 ) -> tuple[list[Task], float]:
-    """Greedy inner loop of Algorithm 1 (lines 6–13) for one instance.
-
-    With a ``memo`` and a valid evaluator ``token``, the outcome is
-    memoized per ``(token, type, pool fingerprint)``: the greedy scan is
-    fully determined by the evaluator state (token), the type's capacity
-    and family (its name, within one catalog — and the token embeds the
-    catalog), and the pool's group/stack order (fingerprint).  A hit
-    replays the recorded pop sequence against the live pool, so pool
-    mutations — including the bucket rotation a later ``push_back``
-    causes after a rejected pack — are byte-identical to a real scan.
-    """
-    pack_key: tuple | None = None
-    if memo is not None and token is not None:
-        pack_key = (token, itype.name, pool.fingerprint_for(itype))
-        hit = memo.get_pack(pack_key)
-        if hit is not None:
-            pop_keys, value = hit
-            buckets = pool._buckets
-            return [pool.pop(buckets[key][-1]) for key in pop_keys], value
+    """Greedy inner loop of Algorithm 1 (lines 6–13) for one instance."""
     chosen: list[Task] = []
-    pop_keys: list[tuple] = []
     state = evaluator.make_state()
-    scan = _make_scan(pool, evaluator, itype.capacity, itype.family)
+    scan = _ArgmaxScan(pool, evaluator, itype.capacity, itype.family)
     while True:
         best_task, best_value = scan.best(state)
         if best_task is None:
             break  # nothing fits (line 7 exit)
         if best_value < state.value - _EPS:
             break  # lines 9–11: adding would reduce the set's value
-        if pack_key is not None:
-            pop_keys.append(pool._key(best_task))
         pool.pop(best_task)
         state.add(best_task)
         chosen.append(best_task)
         scan.charge(best_task)
-    if pack_key is not None:
-        memo.put_pack(pack_key, (tuple(pop_keys), state.value))
     return chosen, state.value
 
 
@@ -375,17 +341,11 @@ class PackMemo:
     rounds, so a small cap suffices).
     """
 
-    __slots__ = ("_entries", "max_entries", "_packs", "max_pack_entries")
+    __slots__ = ("_entries", "max_entries")
 
-    def __init__(self, max_entries: int = 64, max_pack_entries: int = 8192):
+    def __init__(self, max_entries: int = 64):
         self._entries: dict[tuple, tuple] = {}
         self.max_entries = max_entries
-        #: Inner-loop memo: one entry per (token, type, pool fingerprint)
-        #: pack attempt — see :func:`_pack_one_instance`.  Entries are a
-        #: (pop-key sequence, value) pair, a few machine words each, so
-        #: the cap is generous.
-        self._packs: dict[tuple, tuple] = {}
-        self.max_pack_entries = max_pack_entries
 
     def get(self, key: tuple) -> tuple | None:
         return self._entries.get(key)
@@ -395,13 +355,12 @@ class PackMemo:
             self._entries.clear()
         self._entries[key] = value
 
-    def get_pack(self, key: tuple) -> tuple | None:
-        return self._packs.get(key)
 
-    def put_pack(self, key: tuple, entry: tuple) -> None:
-        if len(self._packs) >= self.max_pack_entries:
-            self._packs.clear()
-        self._packs[key] = entry
+def check_cost_margin(cost_margin: float) -> None:
+    """Reject a negative or NaN ``cost_margin`` up front (NaN would
+    otherwise fail every threshold and strand tasks deep in the loop)."""
+    if not cost_margin >= 0:
+        raise ValueError(f"cost_margin must be >= 0, got {cost_margin!r}")
 
 
 def full_reconfiguration(
@@ -428,11 +387,9 @@ def full_reconfiguration(
     :class:`PackMemo`); it only engages when the evaluator reports a
     valid :meth:`~AssignmentEvaluator.cache_token`.
     """
-    if cost_margin < 0:
-        raise ValueError("cost_margin must be >= 0")
+    check_cost_margin(cost_margin)
     pool = _TaskPool(tasks, evaluator, group_identical)
     memo_key: tuple | None = None
-    token: tuple | None = None
     if memo is not None:
         token = evaluator.cache_token()
         if token is not None:
@@ -455,12 +412,13 @@ def full_reconfiguration(
         (it for it in instance_types if not it.is_ghost),
         key=lambda it: (-it.hourly_cost, it.name),
     )
+    prune = evaluator.values_bounded_by_rp
     packed: list[PackedInstance] = []
     for itype in types_desc:
         while not pool.is_empty():
-            chosen, value = _pack_one_instance(
-                itype, pool, evaluator, memo=memo, token=token
-            )
+            if prune and pool.provably_rejected(itype, evaluator.task_rp):
+                break  # the attempt below would be rejected (line 17)
+            chosen, value = _pack_one_instance(itype, pool, evaluator)
             threshold = itype.hourly_cost * (
                 1.0 + (cost_margin if len(chosen) > 1 else 0.0)
             )

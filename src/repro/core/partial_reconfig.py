@@ -27,8 +27,9 @@ from repro.core.evaluation import AssignmentEvaluator
 from repro.core.full_reconfig import (
     PackedInstance,
     PackMemo,
-    _make_scan,
+    _ArgmaxScan,
     _TaskPool,
+    check_cost_margin,
     full_reconfiguration,
     match_existing_instances,
 )
@@ -60,11 +61,13 @@ def _fill_survivor(
 ) -> PackedInstance:
     """Offer subset tasks to a surviving instance's spare capacity."""
     itype = survivor.instance_type
+    scan = _ArgmaxScan(pool, evaluator, itype.capacity, itype.family)
+    for t in survivor.tasks:
+        scan.charge(t)
+    if not scan.fits_any():
+        return survivor  # full already: skip valuing the member set
     tasks = list(survivor.tasks)
     state = evaluator.make_state(tasks)
-    scan = _make_scan(pool, evaluator, itype.capacity, itype.family)
-    for t in tasks:
-        scan.charge(t)
     while True:
         best_task, best_value = scan.best(state)
         if best_task is None or best_value < state.value - _EPS:
@@ -101,6 +104,7 @@ def partial_reconfiguration(
         memo: Optional :class:`PackMemo` forwarded to the stage-2
             Algorithm 1 call.
     """
+    check_cost_margin(cost_margin)
     survivors: list[PackedInstance] = []
     subset: list[Task] = list(unassigned)
     drained: list[tuple[Instance, frozenset[str]]] = []

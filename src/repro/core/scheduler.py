@@ -19,7 +19,6 @@ Eva Full-only       ``enable_partial=False`` (Figure 5b)
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -90,8 +89,15 @@ class EvaConfig:
     def __post_init__(self) -> None:
         if not (self.enable_full or self.enable_partial):
             raise ValueError("at least one of Full/Partial must be enabled")
-        if self.efficiency_margin < 0:
-            raise ValueError("efficiency_margin must be >= 0")
+        # Negated comparisons so NaN fails them too.
+        if not self.efficiency_margin >= 0:
+            raise ValueError(
+                f"efficiency_margin must be >= 0, got {self.efficiency_margin!r}"
+            )
+        if not 0.0 < self.default_tput <= 1.0:
+            raise ValueError(
+                f"default_tput must be in (0, 1], got {self.default_tput!r}"
+            )
 
 
 def _to_target(packed: Sequence[PackedInstance]) -> TargetConfiguration:
@@ -163,16 +169,14 @@ class EvaScheduler(Scheduler):
         self._pending_job_events: int | None = None
         self.last_decision: ReconfigDecision | None = None
         #: Round-decision memo (no-op steady-state rounds short-circuit
-        #: the whole packing pipeline).  ``None`` when disabled: by the
-        #: ``EVA_ROUND_MEMO=0`` knob (equivalence testing), under a
+        #: the whole packing pipeline).  ``None`` when disabled: under a
         #: stochastic delay model (migration costing draws the RNG, so a
         #: replay would desynchronize the stream), or when a subclass
         #: overrides :meth:`schedule` wholesale (its extra logic would be
         #: skipped on hits).
         self._round_memo: dict[tuple, _RoundMemoEntry] | None = None
         if (
-            os.environ.get("EVA_ROUND_MEMO", "1") != "0"
-            and not self.delay_model.stochastic
+            not self.delay_model.stochastic
             and type(self).schedule is EvaScheduler.schedule
         ):
             self._round_memo = {}

@@ -9,6 +9,7 @@ from repro.cluster.instance import InstanceType
 from repro.cluster.resources import ResourceVector
 from repro.core.evaluation import RPEvaluator
 from repro.core.full_reconfig import configuration_cost, full_reconfiguration
+from repro.core.partial_reconfig import partial_reconfiguration
 from repro.core.reservation_price import ReservationPriceCalculator
 from repro.core.scheduler import EvaConfig, EvaScheduler
 from repro.sim.simulator import SpotConfig, run_simulation
@@ -114,6 +115,22 @@ class TestEfficiencyMargin:
             )
         with pytest.raises(ValueError):
             EvaConfig(efficiency_margin=-1.0)
+
+    def test_nan_margin_rejected_up_front(self):
+        # NaN fails every threshold comparison; unchecked it surfaced as
+        # "task(s) could not be packed" from deep inside Algorithm 1.
+        catalog = ec2_catalog()
+        calc = ReservationPriceCalculator(catalog)
+        tasks = microbench_task_pool(30)
+        nan = float("nan")
+        with pytest.raises(ValueError, match="efficiency_margin"):
+            EvaConfig(efficiency_margin=nan)
+        with pytest.raises(ValueError, match="cost_margin"):
+            full_reconfiguration(tasks, catalog, RPEvaluator(calc), cost_margin=nan)
+        with pytest.raises(ValueError, match="cost_margin"):
+            partial_reconfiguration(
+                [], tasks, catalog, RPEvaluator(calc), cost_margin=nan
+            )
 
     def test_margin_trades_cost_for_throughput(self, catalog):
         """End to end: margin > 0 lifts throughput, costs more."""

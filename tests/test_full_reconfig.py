@@ -8,8 +8,14 @@ from repro.cloud.catalog import ec2_catalog
 from repro.cluster.resources import ResourceVector
 from repro.cluster.state import tasks_fit_on_type
 from repro.cluster.task import make_job
+from repro.core import full_reconfig
+from repro.core.deadline import DeadlineTNRPEvaluator
 from repro.core.evaluation import RPEvaluator, TNRPEvaluator
 from repro.core.full_reconfig import (
+    PackMemo,
+    _ArgmaxScan,
+    _pack_one_instance,
+    _TaskPool,
     configuration_cost,
     full_reconfiguration,
     match_existing_instances,
@@ -327,3 +333,316 @@ class TestTaskPool:
         assert pool.fingerprint() != fp1
         pool.push_back([rep])
         assert pool.fingerprint() == fp1
+
+
+CATALOG = ec2_catalog()
+
+
+def _single(workload, demand, job_id):
+    return make_job(workload, {"*": demand}, 1.0, job_id=job_id).tasks[0]
+
+
+def _shape(packed):
+    """A packing without its freshly minted instance ids."""
+    return [
+        (p.instance_type.name, tuple(t.task_id for t in p.tasks)) for p in packed
+    ]
+
+
+def _drive(scan, evaluator, pool, state=None):
+    """Run Algorithm 1's greedy loop to exhaustion; return the pick log."""
+    state = evaluator.make_state() if state is None else state
+    picks = []
+    while True:
+        task, value = scan.best(state)
+        if task is None or value < state.value - 1e-9:
+            break
+        picks.append((task.task_id, value))
+        pool.pop(task)
+        state.add(task)
+        scan.charge(task)
+    return picks
+
+
+def _reference_drive(evaluator, pool):
+    """The same loop with the argmax recomputed from ``set_value`` over
+    every representative (no capacity limit: callers pick a type that
+    holds the whole pool)."""
+    members, picks = [], []
+    value = 0.0
+    while not pool.is_empty():
+        task, best = max(
+            (
+                (t, evaluator.set_value(members + [t]))
+                for t in pool.representatives()
+            ),
+            key=lambda tv: (tv[1], evaluator.task_rp(tv[0]), tv[0].task_id),
+        )
+        if best < value - 1e-9:
+            break
+        picks.append((task.task_id, best))
+        pool.pop(task)
+        members.append(task)
+        value = best
+    return picks
+
+
+class TestTieBreaks:
+    """Crafted exact ties: the scan ranks candidates by the
+    ``(value, RP(τ), task_id)`` tuple maximum."""
+
+    def test_equal_value_equal_rp_breaks_on_task_id(self):
+        # Distinct workloads → distinct groups; identical demands → the
+        # same RP and (for plain RP) the same value.  Every step must
+        # pick the maximal remaining task id.
+        demand = ResourceVector(0, 4, 8)
+        tasks = [_single(f"w{i}", demand, f"job{i}") for i in range(8)]
+        ev = RPEvaluator(ReservationPriceCalculator(CATALOG))
+        itype = max(CATALOG, key=lambda it: it.capacity.cpus)
+        pool = _TaskPool(tasks, ev, True)
+        picks = _drive(
+            _ArgmaxScan(pool, ev, itype.capacity, itype.family), ev, pool
+        )
+        ids = [task_id for task_id, _ in picks]
+        assert ids[0] == max(t.task_id for t in tasks)
+        assert ids == sorted(ids, reverse=True)
+
+    def test_equal_value_breaks_on_higher_rp(self):
+        # Seed the set with a member M, then craft two candidates whose
+        # TNRP against {M} ties exactly while their RPs differ: A has
+        # rp=2·rp_B but tput 0.5 next to M (single-task TNRP = tput·RP).
+        calc = ReservationPriceCalculator(CATALOG)
+        demand_a = ResourceVector(1, 4, 16)  # hosted by a GPU type
+        demand_b = ResourceVector(0, 2, 4)
+        rp_a = calc.rp(_single("probe", demand_a, "probe-a"))
+        rp_b = calc.rp(_single("probe", demand_b, "probe-b"))
+        table = CoLocationThroughputTable(default_tput=1.0)
+        # tput(A | M) chosen so value_A == value_B == rp_b exactly; the
+        # ratio is a dyadic rational whenever rp_b/rp_a is, keeping the
+        # product exact in float64.
+        ratio = rp_b / rp_a
+        assert 0.0 < ratio < 1.0
+        table.observe_single_task_job(
+            TaskPlacementObservation("wa", ("wm",)), ratio
+        )
+        # M is unaffected by either candidate → the member term cancels.
+        table.observe_single_task_job(
+            TaskPlacementObservation("wm", ("wa",)), 1.0
+        )
+        table.observe_single_task_job(
+            TaskPlacementObservation("wm", ("wb",)), 1.0
+        )
+        member = _single("wm", ResourceVector(0, 1, 2), "jm")
+        cand_a = _single("wa", demand_a, "ja")
+        cand_b = _single("wb", demand_b, "jb")
+        itype = max(
+            CATALOG, key=lambda it: (it.capacity.gpus, it.capacity.ram_gb)
+        )
+        ev = TNRPEvaluator(calc, table, jobs={})
+        pool = _TaskPool([cand_a, cand_b], ev, True)
+        scan = _ArgmaxScan(pool, ev, itype.capacity, itype.family)
+        state = ev.make_state([member])
+        scan.charge(member)  # foreign task: capacity only
+        task, value = scan.best(state)
+        # Exact tie on value (tput_a·rp_a == rp_b), broken on RP → A.
+        assert ratio * rp_a == rp_b
+        assert value == state.value + rp_b
+        assert task is cand_a
+
+    def test_exact_path_tie_breaks_like_set_value(self):
+        # A >2-set exact entry disables the pairwise fast path; the
+        # incremental exact path must pick exactly what a from-scratch
+        # ``set_value`` argmax picks, ties included.
+        table = CoLocationThroughputTable(default_tput=1.0)
+        table.sync({("w0", ("w1", "w2")): 0.6})
+        demand = ResourceVector(0, 2, 4)
+        tasks = [_single(f"w{i}", demand, f"job{i}") for i in range(6)]
+        ev = TNRPEvaluator(ReservationPriceCalculator(CATALOG), table, jobs={})
+        itype = max(CATALOG, key=lambda it: it.capacity.cpus)
+        pool = _TaskPool(tasks, ev, True)
+        picks = _drive(
+            _ArgmaxScan(pool, ev, itype.capacity, itype.family), ev, pool
+        )
+        assert picks == _reference_drive(ev, _TaskPool(tasks, ev, True))
+        assert len(picks) == len(tasks)
+
+
+_WORKLOADS = ["wa", "wb", "wc", "wd"]
+_DEMANDS = [
+    ResourceVector(0, 2, 4),
+    ResourceVector(0, 4, 8),
+    ResourceVector(0, 8, 32),
+    ResourceVector(1, 4, 16),
+    ResourceVector(1, 8, 61),
+    ResourceVector(4, 16, 122),
+]
+
+
+@st.composite
+def _pools(draw):
+    """A random task pool plus an evaluator over it: plain RP, TNRP with
+    pair and >2-task exact entries and multi-task jobs, or TNRP with
+    deadline urgency."""
+    specs = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(_WORKLOADS),
+                st.sampled_from(_DEMANDS),
+                st.integers(min_value=1, max_value=3),  # arity (§4.4)
+                st.sampled_from([1.0, 1.0, 2.5, 20.0]),  # urgency
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    tasks, jobs, urgency = [], {}, {}
+    for i, (workload, demand, arity, u) in enumerate(specs):
+        job = make_job(
+            workload, {"*": demand}, 1.0, num_tasks=arity, job_id=f"j{i}"
+        )
+        jobs[job.job_id] = job
+        tasks.extend(job.tasks)
+        if u != 1.0:
+            urgency[job.job_id] = u
+    table = CoLocationThroughputTable()
+    for a, b, tput in draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(_WORKLOADS),
+                st.sampled_from(_WORKLOADS),
+                st.sampled_from([0.25, 0.5, 0.75, 0.9, 1.0]),
+            ),
+            max_size=6,
+        )
+    ):
+        if a != b:
+            table.observe_single_task_job(TaskPlacementObservation(a, (b,)), tput)
+    if draw(st.booleans()):
+        table.sync({("wa", ("wb", "wc")): 0.5})  # forces the exact path
+    calc = ReservationPriceCalculator(CATALOG)
+    kind = draw(st.sampled_from(["rp", "tnrp", "deadline"]))
+    if kind == "rp":
+        make = lambda: RPEvaluator(calc)  # noqa: E731
+    elif kind == "tnrp":
+        make = lambda: TNRPEvaluator(calc, table, jobs=jobs)  # noqa: E731
+    else:
+        make = lambda: DeadlineTNRPEvaluator(  # noqa: E731
+            calc, table, jobs=jobs, urgency=urgency
+        )
+    return tasks, make
+
+
+class TestProvablyRejected:
+    """Skipping a pack attempt is sound only if the attempt would have
+    been rejected *and* left the pool exactly as it found it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_pools(), st.booleans())
+    def test_pruned_attempts_are_rejected_no_ops(self, pool_spec, grouped):
+        tasks, make = pool_spec
+        ev = make()
+        for itype in CATALOG:
+            pool = _TaskPool(tasks, ev, grouped)
+            if not pool.provably_rejected(itype, ev.task_rp):
+                continue
+            before = pool.fingerprint()
+            chosen, value = _pack_one_instance(itype, pool, ev)
+            # Neither the cost test nor the margin's anchor branch passes.
+            assert not chosen or value < itype.hourly_cost - 1e-9
+            pool.push_back(chosen)
+            assert pool.fingerprint() == before
+
+    @settings(max_examples=40, deadline=None)
+    @given(_pools(), st.booleans(), st.sampled_from([0.0, 0.3]))
+    def test_pruning_never_changes_the_packing(self, pool_spec, grouped, margin):
+        tasks, make = pool_spec
+        pruned = make()
+        unpruned = make()
+        unpruned.values_bounded_by_rp = False
+        assert pruned.values_bounded_by_rp
+        packings = [
+            _shape(
+                full_reconfiguration(
+                    tasks, CATALOG, ev, group_identical=grouped, cost_margin=margin
+                )
+            )
+            for ev in (pruned, unpruned)
+        ]
+        assert packings[0] == packings[1]
+
+    def test_prune_skips_attempts_on_a_realistic_pool(self, monkeypatch):
+        calls = []
+        real = full_reconfig._pack_one_instance
+
+        def counting(*args):
+            calls.append(args[0].name)
+            return real(*args)
+
+        monkeypatch.setattr(full_reconfig, "_pack_one_instance", counting)
+        tasks = microbench_task_pool(40, seed=7)
+        calc = ReservationPriceCalculator(CATALOG)
+        pruned = _shape(full_reconfiguration(tasks, CATALOG, RPEvaluator(calc)))
+        n_pruned = len(calls)
+        calls.clear()
+        ev = RPEvaluator(calc)
+        ev.values_bounded_by_rp = False
+        assert _shape(full_reconfiguration(tasks, CATALOG, ev)) == pruned
+        assert n_pruned < len(calls)
+
+    def test_multi_copy_bucket_that_fits_twice_is_not_pruned(self):
+        # Two tasks of one group that fit together: a rejected attempt
+        # would pop both and push them back in rotated order.
+        itype = min(CATALOG, key=lambda it: it.hourly_cost)
+        half = ResourceVector(0, itype.capacity.cpus / 4, itype.capacity.ram_gb / 4)
+        job = make_job("w", {"*": half}, 1.0, num_tasks=2, job_id="j")
+        ev = RPEvaluator(ReservationPriceCalculator(CATALOG))
+        pool = _TaskPool(job.tasks, ev, True)
+        assert not pool.provably_rejected(itype, lambda t: 0.0)
+        # Alone, either task is pruned under a zero RP.
+        assert _TaskPool(job.tasks[:1], ev, True).provably_rejected(
+            itype, lambda t: 0.0
+        )
+
+
+class TestPackMemo:
+    def test_hit_returns_the_memo_less_packing(self, monkeypatch):
+        tasks = microbench_task_pool(30, seed=3)
+        calc = ReservationPriceCalculator(CATALOG)
+        table = CoLocationThroughputTable()
+        table.observe_single_task_job(
+            TaskPlacementObservation("ResNet-50", ("A3C",)), 0.8
+        )
+        ev = TNRPEvaluator(calc, table, jobs={})
+        plain = full_reconfiguration(tasks, CATALOG, ev)
+        memo = PackMemo()
+        first = full_reconfiguration(tasks, CATALOG, ev, memo=memo)
+
+        def no_packing(*args):
+            raise AssertionError("a memo hit must not pack")
+
+        monkeypatch.setattr(full_reconfig, "_pack_one_instance", no_packing)
+        second = full_reconfiguration(list(reversed(tasks)), CATALOG, ev, memo=memo)
+        assert _shape(plain) == _shape(first) == _shape(second)
+        # A hit still mints fresh instance ids, one per packed instance.
+        first_ids = {p.instance.instance_id for p in first}
+        second_ids = {p.instance.instance_id for p in second}
+        assert len(second_ids) == len(second) and not first_ids & second_ids
+
+    def test_table_change_misses(self, monkeypatch):
+        tasks = microbench_task_pool(12, seed=1)
+        calc = ReservationPriceCalculator(CATALOG)
+        table = CoLocationThroughputTable()
+        memo = PackMemo()
+        full_reconfiguration(tasks, CATALOG, TNRPEvaluator(calc, table), memo=memo)
+        table.observe_single_task_job(
+            TaskPlacementObservation("ResNet-50", ("A3C",)), 0.5
+        )
+        calls = []
+        real = full_reconfig._pack_one_instance
+        monkeypatch.setattr(
+            full_reconfig,
+            "_pack_one_instance",
+            lambda *args: calls.append(args) or real(*args),
+        )
+        full_reconfiguration(tasks, CATALOG, TNRPEvaluator(calc, table), memo=memo)
+        assert calls

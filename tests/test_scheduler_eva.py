@@ -36,6 +36,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             EvaConfig(enable_full=False, enable_partial=False)
 
+    @pytest.mark.parametrize("tput", [0.0, -0.5, 1.01, float("nan")])
+    def test_default_tput_outside_unit_interval_rejected(self, tput):
+        with pytest.raises(ValueError, match="default_tput"):
+            EvaConfig(default_tput=tput)
+
+    def test_default_tput_of_one_accepted(self):
+        assert EvaConfig(default_tput=1.0).default_tput == 1.0
+
     def test_variant_factory(self, catalog):
         names = {
             "eva": "Eva",
