@@ -18,6 +18,10 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy", "scipy"],
-    extras_require={"dev": ["pytest", "pytest-benchmark", "hypothesis"]},
+    install_requires=["numpy"],
+    extras_require={
+        # The Table 4 ILP reference solves with scipy's MILP (HiGHS).
+        "ilp": ["scipy"],
+        "dev": ["pytest", "pytest-benchmark", "hypothesis", "scipy"],
+    },
 )

@@ -24,6 +24,10 @@ The solver is HiGHS via :func:`scipy.optimize.milp` (the paper used
 Gurobi; both are exact MILP solvers, only wall-clock differs), with a
 configurable time limit — the paper itself reports best-found solutions
 under a 30-minute limit (Table 4).
+
+scipy is an optional dependency, imported only when :func:`ilp_schedule`
+solves, so that importing :mod:`repro` stays scipy-free.  Install it with
+``pip install -e .[ilp]`` to run Table 4.
 """
 
 from __future__ import annotations
@@ -33,8 +37,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import LinearConstraint, milp
-from scipy.sparse import lil_matrix
 
 from repro.cluster.instance import InstanceType, fresh_instance
 from repro.cluster.task import Task
@@ -83,7 +85,19 @@ def ilp_schedule(
         time_limit_s: Solver time budget; the best incumbent is returned
             if optimality is not proven in time.
         max_instances: Cap on |I| (defaults to |T|, the paper's bound).
+
+    Raises:
+        ImportError: scipy is not installed (``pip install -e .[ilp]``).
     """
+    try:
+        from scipy.optimize import LinearConstraint, milp
+        from scipy.sparse import lil_matrix
+    except ImportError as exc:
+        raise ImportError(
+            "ilp_schedule needs scipy's MILP solver; install the 'ilp' extra "
+            "with `pip install -e .[ilp]`"
+        ) from exc
+
     if not tasks:
         return ILPResult([], 0.0, True, 0.0, "empty task set")
 

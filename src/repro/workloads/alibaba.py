@@ -22,10 +22,10 @@ Figure 7 (multi-task duplication) remixes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from repro.cluster.resources import ResourceVector
 from repro.cluster.task import DEFAULT_FAMILY, Job, Task
@@ -97,12 +97,136 @@ def _truncated_pareto_mean(alpha: float, x_min: float, x_max: float) -> float:
     )
 
 
+#: Bracket of Pareto shapes :func:`solve_tail_alpha` searches.
+_ALPHA_BRACKET = (1e-6, 20.0)
+
+#: Tolerances of :func:`_brentq`; the defaults of ``scipy.optimize.brentq``.
+_BRENTQ_XTOL = 2e-12
+_BRENTQ_RTOL = 4 * sys.float_info.epsilon
+_BRENTQ_MAXITER = 100
+
+
+def _ieee_div(num: float, den: float) -> float:
+    """``num / den`` as C computes it: a zero ``den`` gives inf or NaN."""
+    if den != 0.0:
+        return num / den
+    if num == 0.0 or math.isnan(num):
+        return math.nan
+    return math.copysign(math.inf, num) * math.copysign(1.0, den)
+
+
+def _checked(f, x: float) -> float:
+    """``f(x)``, refusing NaN as scipy's ``brentq`` wrapper does."""
+    fx = float(f(x))
+    if math.isnan(fx):
+        raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+    return fx
+
+
+def _brentq(f, xa: float, xb: float) -> float:
+    """Root of ``f`` in ``[xa, xb]`` by Brent's method.
+
+    A step-for-step port of ``scipy.optimize.brentq`` (its C ``brentq``
+    with the default tolerances), so it returns the same float for the
+    same ``f`` and bracket.  Keeping it here means a simulation never
+    imports scipy.  Raises ``ValueError`` on a NaN function value or a
+    bracket whose ends have the same sign, and ``RuntimeError`` when
+    ``_BRENTQ_MAXITER`` steps do not converge.
+    """
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre = _checked(f, xpre)
+    fcur = _checked(f, xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENTQ_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (
+            math.copysign(1.0, fpre) != math.copysign(1.0, fcur)
+        ):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (_BRENTQ_XTOL + _BRENTQ_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = _ieee_div(-fcur * (xcur - xpre), fcur - fpre)
+            else:
+                # extrapolate
+                dpre = _ieee_div(fpre - fcur, xpre - xcur)
+                dblk = _ieee_div(fblk - fcur, xblk - xcur)
+                stry = _ieee_div(
+                    -fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre)
+                )
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                # bisect
+                spre = scur = sbis
+        else:
+            # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = _checked(f, xcur)
+    raise RuntimeError(f"Failed to converge after {_BRENTQ_MAXITER} iterations.")
+
+
+def _check_duration_inputs(
+    target_mean_h: float,
+    anchors: tuple[tuple[float, float], ...],
+    x_max: float,
+) -> None:
+    """Raise ``ValueError`` naming the field that makes the model ill-posed."""
+    if not anchors:
+        raise ValueError("anchors must hold at least one (quantile, hours) pair")
+    for _, x in anchors:
+        if not (math.isfinite(x) and x > 0.0):
+            raise ValueError(f"anchors: duration {x!r} must be finite and positive")
+    if anchors[0][0] != 0.0:
+        raise ValueError(f"anchors: first quantile must be 0, got {anchors[0][0]!r}")
+    if not anchors[-1][0] < 1.0:
+        raise ValueError(
+            f"anchors: last quantile must be below 1, got {anchors[-1][0]!r}"
+        )
+    for (q_lo, x_lo), (q_hi, x_hi) in zip(anchors, anchors[1:]):
+        if not (q_hi > q_lo and x_hi > x_lo):
+            raise ValueError(
+                "anchors must be strictly increasing in quantile and duration, "
+                f"got {(q_lo, x_lo)} then {(q_hi, x_hi)}"
+            )
+    if not (math.isfinite(x_max) and x_max > anchors[-1][1]):
+        raise ValueError(
+            f"x_max={x_max!r} must be finite and above the tail anchor "
+            f"{anchors[-1][1]!r}h"
+        )
+    if not (math.isfinite(target_mean_h) and target_mean_h > 0.0):
+        raise ValueError(f"target_mean_h={target_mean_h!r} must be finite and positive")
+
+
 def solve_tail_alpha(
     target_mean_h: float = ALIBABA_MEAN_H,
     anchors: tuple[tuple[float, float], ...] = ALIBABA_QUANTILE_ANCHORS,
     x_max: float = ALIBABA_MAX_DURATION_H,
 ) -> float:
     """Pareto shape making the overall duration mean hit ``target_mean_h``."""
+    _check_duration_inputs(target_mean_h, anchors, x_max)
     tail_q, x_min = anchors[-1]
     tail_weight = 1.0 - tail_q
     body = _below_tail_mean(anchors)
@@ -110,13 +234,21 @@ def solve_tail_alpha(
     limit_mean = (x_max - x_min) / math.log(x_max / x_min)  # alpha -> 0 limit
     if target_tail_mean >= limit_mean:
         raise ValueError(
-            f"target tail mean {target_tail_mean:.1f}h unreachable with cap {x_max}h"
+            f"target_mean_h={target_mean_h!r} needs a tail mean of "
+            f"{target_tail_mean:.1f}h, unreachable with cap x_max={x_max!r}h"
         )
 
     def gap(alpha: float) -> float:
         return _truncated_pareto_mean(alpha, x_min, x_max) - target_tail_mean
 
-    return float(brentq(gap, 1e-6, 20.0))
+    alpha_lo, alpha_hi = _ALPHA_BRACKET
+    if gap(alpha_hi) > 0.0:
+        floor_h = body + tail_weight * _truncated_pareto_mean(alpha_hi, x_min, x_max)
+        raise ValueError(
+            f"target_mean_h={target_mean_h!r} is below {floor_h:.4g}h, the "
+            f"smallest mean a Pareto tail with alpha <= {alpha_hi:g} reaches"
+        )
+    return _brentq(gap, alpha_lo, alpha_hi)
 
 
 @dataclass(frozen=True)
