@@ -13,7 +13,8 @@ from repro.analysis.reporting import ExperimentTable
 from repro.cloud.catalog import ec2_catalog
 from repro.core.scheduler import EvaScheduler
 from repro.experiments.common import scaled
-from repro.sim.simulator import SpotConfig, run_simulation
+from repro.sim.processes.spot import SpotConfig
+from repro.sim.simulator import run_simulation
 from repro.workloads.alibaba import synthesize_alibaba_trace
 
 PREEMPTION_RATES = (0.02, 0.1, 0.3)

@@ -11,9 +11,10 @@ perf trajectory:
 
 Reported rates: simulation events dispatched per second, scheduling
 rounds per second, and Algorithm 1 ``_pack_one_instance`` calls per
-second.  Event and pack-call counts are taken by wrapping the hot
-functions, so the bench runs unmodified against older revisions of the
-engine (useful for before/after comparisons from a worktree).
+second.  Events come from the simulator's own ``events_dispatched``
+counter; pack calls are counted by wrapping ``_pack_one_instance``, so
+the bench runs unmodified against older revisions of the engine (useful
+for before/after comparisons from a worktree).
 
 Usage::
 
@@ -89,10 +90,10 @@ def _scenarios() -> list[tuple[str, object, str]]:
 
 
 def _run_one(name: str, trace, scheduler_name: str) -> dict:
-    """Simulate one scenario with counting wrappers on the hot functions."""
+    """Simulate one scenario, counting `_pack_one_instance` calls."""
     import repro.core.full_reconfig as full_reconfig
 
-    counts = {"events": 0, "pack_calls": 0}
+    counts = {"pack_calls": 0}
 
     real_pack = full_reconfig._pack_one_instance
 
@@ -100,14 +101,7 @@ def _run_one(name: str, trace, scheduler_name: str) -> dict:
         counts["pack_calls"] += 1
         return real_pack(*args, **kwargs)
 
-    real_dispatch = ClusterSimulator._dispatch
-
-    def counting_dispatch(self, event):
-        counts["events"] += 1
-        return real_dispatch(self, event)
-
     full_reconfig._pack_one_instance = counting_pack
-    ClusterSimulator._dispatch = counting_dispatch
     try:
         sim = ClusterSimulator(
             trace=trace, scheduler=make_scheduler(scheduler_name, ec2_catalog())
@@ -117,14 +111,13 @@ def _run_one(name: str, trace, scheduler_name: str) -> dict:
         wall_s = time.perf_counter() - start
     finally:
         full_reconfig._pack_one_instance = real_pack
-        ClusterSimulator._dispatch = real_dispatch
 
     return {
         "scheduler": result.scheduler_name,
         "num_jobs": result.num_jobs,
         "wall_s": round(wall_s, 4),
-        "events": counts["events"],
-        "events_per_s": round(counts["events"] / wall_s, 2),
+        "events": sim.events_dispatched,
+        "events_per_s": round(sim.events_dispatched / wall_s, 2),
         "rounds": result.scheduling_rounds,
         "rounds_per_s": round(result.scheduling_rounds / wall_s, 2),
         "pack_calls": counts["pack_calls"],

@@ -230,7 +230,8 @@ def default_coverage_targets() -> list[CoverageTarget]:
     from repro.cloud.market import CreditModel, MarketConfig, MarketPool
     from repro.interference.model import InterferenceModel
     from repro.sim.batch import Scenario, TraceSpec
-    from repro.sim.simulator import FailureConfig, RetryPolicy, SpotConfig
+    from repro.sim.processes.failure import FailureConfig, RetryPolicy
+    from repro.sim.processes.spot import SpotConfig
 
     return [
         CoverageTarget(

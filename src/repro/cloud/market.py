@@ -10,7 +10,8 @@ trace — evaluated **lazily** at event timestamps, so a simulation that
 never attaches a market performs no price arithmetic at all and stays
 byte-identical to stock Eva.
 
-Determinism contract (mirrors :class:`~repro.sim.simulator.FailureConfig`):
+Determinism contract (mirrors
+:class:`~repro.sim.processes.failure.FailureConfig`):
 
 * every knob lives on a frozen, fingerprint-covered dataclass
   (:class:`MarketConfig` is a :class:`~repro.sim.batch.Scenario` field);
@@ -254,7 +255,7 @@ class MarketConfig:
     A disabled config — or one with no pools — reproduces the
     market-free simulator byte-identically: no price events are armed,
     launches bill at the catalog constant, and the spot preemption draw
-    is untouched.  Like :class:`~repro.sim.simulator.FailureConfig`,
+    is untouched.  Like :class:`~repro.sim.processes.failure.FailureConfig`,
     every field is a plain scalar/tuple on a frozen dataclass so the
     scenario fingerprint covers it automatically, and
     :func:`~repro.sim.batch.reseed` rewrites ``seed``.

@@ -43,7 +43,7 @@ from repro.experiments.registry import (
     run_experiment,
 )
 from repro.sim.batch import Scenario, TraceSpec, TrialSet
-from repro.sim.simulator import FailureConfig, RetryPolicy
+from repro.sim.processes.failure import FailureConfig, RetryPolicy
 
 #: Per-instance crash hazard sweep points (events/hour), calmest first.
 #: 0.1/h is background noise over hour-scale jobs; 0.3/h is hostile —

@@ -31,7 +31,8 @@ from repro.experiments.registry import (
     run_experiment,
 )
 from repro.sim.batch import Scenario, TraceSpec
-from repro.sim.simulator import DEFAULT_PERIOD_S, SpotConfig
+from repro.sim.processes.spot import SpotConfig
+from repro.sim.simulator import DEFAULT_PERIOD_S
 
 #: Advance-warning windows, in scheduling periods (0 = classic spot
 #: market with no warning; >= 1 guarantees a reacting round).

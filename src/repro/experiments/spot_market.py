@@ -48,7 +48,8 @@ from repro.experiments.registry import (
     run_experiment,
 )
 from repro.sim.batch import Scenario, TraceSpec, TrialSet
-from repro.sim.simulator import DEFAULT_PERIOD_S, SpotConfig
+from repro.sim.processes.spot import SpotConfig
+from repro.sim.simulator import DEFAULT_PERIOD_S
 
 #: Price-walk volatility per step (std-dev of the log-price increment).
 #: 0.05 barely leaves par (the sanity row); 0.15 and 0.3 are regimes

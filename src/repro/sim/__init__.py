@@ -12,7 +12,7 @@ from repro.sim.batch import (
     run_scenario,
     trace_builder_names,
 )
-from repro.sim.engine import Event, EventKind, EventQueue
+from repro.sim.engine import Event, EventKind, EventQueue, SimulationError
 from repro.sim.metrics import (
     AllocationIntegrator,
     FailureOutcome,
@@ -21,15 +21,9 @@ from repro.sim.metrics import (
     SimulationResult,
     normalize_costs,
 )
-from repro.sim.simulator import (
-    DEFAULT_PERIOD_S,
-    ClusterSimulator,
-    FailureConfig,
-    RetryPolicy,
-    SimulationError,
-    SpotConfig,
-    run_simulation,
-)
+from repro.sim.processes.failure import FailureConfig, RetryPolicy
+from repro.sim.processes.spot import SpotConfig
+from repro.sim.simulator import DEFAULT_PERIOD_S, ClusterSimulator, run_simulation
 
 __all__ = [
     "Scenario",

@@ -164,8 +164,6 @@ class ClusterAccounting:
         instances: Mapping[str, object],
         tasks: Mapping[str, object],
         deadline_outcomes: Sequence[object] | None = None,
-        failure_outcomes: Sequence[object] | None = None,
-        repair_outcomes: Sequence[object] | None = None,
     ) -> None:
         """Assert the incremental totals match a naive re-scan.
 
@@ -174,10 +172,7 @@ class ClusterAccounting:
         total drifted (i.e. a state mutation bypassed the delta hooks).
         ``deadline_outcomes`` (the simulator's finish-order SLO records)
         additionally cross-checks the deadline counters against
-        :func:`naive_deadline_totals`; ``failure_outcomes`` /
-        ``repair_outcomes`` (the dispatch-order reliability records) do
-        the same for the reliability counters via
-        :func:`naive_failure_totals`.
+        :func:`naive_deadline_totals`.
         """
         allocated, capacity, num_tasks, num_instances = naive_totals(instances, tasks)
         if num_tasks != self.num_tasks or num_instances != self.num_instances:
@@ -208,32 +203,39 @@ class ClusterAccounting:
                     f"deadline lateness drift: incremental "
                     f"{self.deadline_lateness_s!r} vs naive {lateness!r}"
                 )
-        if failure_outcomes is not None:
-            failures, restarts, lost, repairs, repair_s = naive_failure_totals(
-                failure_outcomes, repair_outcomes or ()
+
+    def verify_failures(
+        self,
+        failure_outcomes: Sequence[object],
+        repair_outcomes: Sequence[object],
+    ) -> None:
+        """Cross-check the reliability counters against
+        :func:`naive_failure_totals` over the dispatch-order records."""
+        failures, restarts, lost, repairs, repair_s = naive_failure_totals(
+            failure_outcomes, repair_outcomes
+        )
+        if (
+            failures != self.instance_failures
+            or restarts != self.task_restarts
+            or repairs != self.repairs
+        ):
+            raise AccountingDriftError(
+                f"reliability count drift: incremental "
+                f"({self.instance_failures} failures, "
+                f"{self.task_restarts} restarts, {self.repairs} repairs) "
+                f"vs naive ({failures}, {restarts}, {repairs})"
             )
-            if (
-                failures != self.instance_failures
-                or restarts != self.task_restarts
-                or repairs != self.repairs
-            ):
-                raise AccountingDriftError(
-                    f"reliability count drift: incremental "
-                    f"({self.instance_failures} failures, "
-                    f"{self.task_restarts} restarts, {self.repairs} repairs) "
-                    f"vs naive ({failures}, {restarts}, {repairs})"
-                )
-            # Same additions in the same (event, job) order: bit-for-bit.
-            if lost != self.work_lost_h:
-                raise AccountingDriftError(
-                    f"work-lost drift: incremental {self.work_lost_h!r} "
-                    f"vs naive {lost!r}"
-                )
-            if repair_s != self.repair_time_s:
-                raise AccountingDriftError(
-                    f"repair-time drift: incremental {self.repair_time_s!r} "
-                    f"vs naive {repair_s!r}"
-                )
+        # Same additions in the same (event, job) order: bit-for-bit.
+        if lost != self.work_lost_h:
+            raise AccountingDriftError(
+                f"work-lost drift: incremental {self.work_lost_h!r} "
+                f"vs naive {lost!r}"
+            )
+        if repair_s != self.repair_time_s:
+            raise AccountingDriftError(
+                f"repair-time drift: incremental {self.repair_time_s!r} "
+                f"vs naive {repair_s!r}"
+            )
 
 
 def naive_totals(

@@ -49,12 +49,9 @@ from repro.cloud.market import MarketConfig
 from repro.cluster.instance import InstanceType
 from repro.interference.model import InterferenceModel
 from repro.sim.metrics import SimulationResult
-from repro.sim.simulator import (
-    DEFAULT_PERIOD_S,
-    FailureConfig,
-    SpotConfig,
-    run_simulation,
-)
+from repro.sim.processes.failure import FailureConfig
+from repro.sim.processes.spot import SpotConfig
+from repro.sim.simulator import DEFAULT_PERIOD_S, run_simulation
 from repro.workloads.trace import Trace
 
 _T = TypeVar("_T")
@@ -321,7 +318,7 @@ class Scenario:
             affecting for deadline-aware schedulers, hence part of the
             fingerprint like every other field here.
         failures: Optional fault-injection configuration
-            (:class:`~repro.sim.simulator.FailureConfig`).  ``None``
+            (:class:`~repro.sim.processes.failure.FailureConfig`).  ``None``
             keeps the fault-free engine path byte-identical; any value
             flows into the fingerprint (it is a frozen dataclass of
             plain scalars, so canonical-JSON coverage is automatic).

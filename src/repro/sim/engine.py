@@ -15,6 +15,10 @@ from enum import IntEnum
 from typing import Any, Iterable
 
 
+class SimulationError(RuntimeError):
+    """Raised on internal inconsistencies or runaway simulations."""
+
+
 class EventKind(IntEnum):
     """Event kinds, ordered by same-timestamp processing priority.
 

@@ -17,583 +17,47 @@ paid-but-idle time (§2.3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from enum import Enum
-from typing import Sequence
-
-import numpy as np
+from typing import Literal, Sequence
 
 from repro.cloud.delays import DelayModel
-from repro.cloud.market import MarketConfig, MarketRuntime
+from repro.cloud.market import MarketConfig
 from repro.cloud.provider import SimulatedCloud
 from repro.cluster.state import ClusterSnapshot, InstanceState
 from repro.cluster.task import Job, Task
 from repro.core.interfaces import JobThroughputReport, Scheduler
 from repro.core.protocol import (
-    AssignTask,
-    ClusterEnvironment,
     DeadlineApproaching,
-    InstanceFailed,
     JobArrived,
     JobFinished,
-    LaunchInstance,
-    MigrateTask,
     Observation,
-    PoolExhausted,
-    PriceChanged,
-    SpotEvictionNotice,
     StragglerReport,
-    TerminateInstance,
     ThroughputReport,
-    UnassignTask,
 )
 from repro.core.throughput_table import TaskPlacementObservation
 from repro.interference.model import InterferenceModel
 from repro.sim.accounting import ClusterAccounting
-from repro.sim.engine import Event, EventKind, EventQueue
+from repro.sim.engine import Event, EventKind, EventQueue, SimulationError
+from repro.sim.environment import (
+    TaskStatus,
+    _InstanceRT,
+    _JobRT,
+    _SimEnvironment,
+    _TaskRT,
+)
 from repro.sim.metrics import (
     AllocationIntegrator,
     DeadlineOutcome,
-    FailureOutcome,
     JobOutcome,
-    RepairOutcome,
     SimulationResult,
 )
+from repro.sim.processes.base import EventProcess, Handler
+from repro.sim.processes.failure import FailureConfig, FailureProcess
+from repro.sim.processes.market import MarketProcess
+from repro.sim.processes.spot import SpotConfig, SpotProcess
 from repro.workloads.trace import Trace
 
 #: Default scheduling period (§3 suggests e.g. 5 minutes).
 DEFAULT_PERIOD_S = 300.0
-
-
-@dataclass(frozen=True)
-class SpotConfig:
-    """Spot-market configuration (the §7 "cheaper, preemptible spot
-    instances" extension).
-
-    When enabled, every launch is a spot request: billed at
-    ``SimulatedCloud.spot_discount`` of the on-demand price, and
-    preempted after an exponentially distributed lifetime with the given
-    rate.  Preempted instances vanish; their tasks are checkpointed (the
-    two-minute interruption notice suffices for the Table-7 checkpoint
-    times) and return to the queue for the next scheduling round.
-
-    ``notice_s`` grants schedulers an *advance eviction warning*: that
-    many seconds before an instance is reclaimed, the simulator emits a
-    :class:`~repro.core.protocol.SpotEvictionNotice` observation and
-    arms a scheduling round, so eviction-aware policies can drain the
-    doomed instance while it is still running.  Notices are delivered
-    at scheduling rounds, so a notice window shorter than the period
-    may be observed too late to react; ``notice_s >= period_s`` makes
-    at least one reacting round certain.  ``0`` (the default) disables
-    notices and reproduces the classic no-warning spot market
-    byte-identically.
-    """
-
-    enabled: bool = False
-    preemption_rate_per_hour: float = 0.05
-    seed: int = 0
-    notice_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.enabled:
-            if not math.isfinite(self.preemption_rate_per_hour):
-                raise ValueError(
-                    f"preemption rate must be finite, "
-                    f"got {self.preemption_rate_per_hour}"
-                )
-            if self.preemption_rate_per_hour <= 0:
-                raise ValueError("preemption rate must be positive when enabled")
-        if not math.isfinite(self.notice_s):
-            raise ValueError(f"notice_s must be finite, got {self.notice_s}")
-        if self.notice_s < 0:
-            raise ValueError("notice_s must be >= 0")
-
-
-def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How failed tasks are retried and how often progress is saved.
-
-    Attributes:
-        backoff_base_s: First-retry delay of a failed task; doubles with
-            every subsequent failure of the same task (capped).  ``0``
-            disables backoff (failed tasks requeue immediately).
-        backoff_cap_s: Upper bound on the per-task retry delay.
-        checkpoint_interval_s: Wall-clock cadence of job checkpoints; a
-            crash rolls a job back to its last completed checkpoint, so
-            shorter intervals lose less work.
-        checkpoint_overhead: Fraction of throughput spent writing
-            checkpoints (``[0, 1)``) — the cost side of the cadence
-            trade-off, charged against every running job's rate while
-            failure injection is enabled.
-    """
-
-    backoff_base_s: float = 60.0
-    backoff_cap_s: float = 3600.0
-    checkpoint_interval_s: float = 1800.0
-    checkpoint_overhead: float = 0.0
-
-    def __post_init__(self) -> None:
-        _require_finite("backoff_base_s", self.backoff_base_s)
-        _require_finite("backoff_cap_s", self.backoff_cap_s)
-        _require_finite("checkpoint_interval_s", self.checkpoint_interval_s)
-        _require_finite("checkpoint_overhead", self.checkpoint_overhead)
-        if self.backoff_base_s < 0:
-            raise ValueError("backoff_base_s must be >= 0")
-        if self.backoff_cap_s < self.backoff_base_s:
-            raise ValueError("backoff_cap_s must be >= backoff_base_s")
-        if self.checkpoint_interval_s <= 0:
-            raise ValueError("checkpoint_interval_s must be positive")
-        if not 0.0 <= self.checkpoint_overhead < 1.0:
-            raise ValueError("checkpoint_overhead must be in [0, 1)")
-
-
-@dataclass(frozen=True)
-class FailureConfig:
-    """Stochastic fault-injection configuration (ROADMAP open item 5).
-
-    Three fault processes, all disabled by default (and byte-identical
-    to the fault-free simulator when disabled — the golden digest
-    matrices pin this):
-
-    * **Independent crashes**: every instance draws an exponential
-      time-to-crash at launch (rate ``crash_rate_per_hour``).  Unlike
-      spot preemption there is no graceful notice: affected jobs roll
-      back to their last completed checkpoint
-      (:class:`RetryPolicy.checkpoint_interval_s`), making
-      ``_TaskRT.resume_version`` work-loss accounting real.
-    * **Correlated domain shocks**: instances are assigned round-robin
-      to ``num_domains`` failure domains (rack/AZ analogue); a Poisson
-      process (rate ``domain_shock_rate_per_hour``) kills *every* alive
-      instance in a uniformly drawn domain at once.
-    * **Stragglers**: each instance draws an exponential onset (rate
-      ``straggler_rate_per_hour``) after which its effective throughput
-      is multiplied by a factor uniform in ``straggler_slowdown`` for
-      ``straggler_duration_s`` seconds, then recovers.
-
-    Faults surface on the typed observation channel
-    (:class:`~repro.core.protocol.InstanceFailed`,
-    :class:`~repro.core.protocol.StragglerReport`) so policies can react
-    without snapshot sniffing.  Two independent seeded streams drive the
-    draws: per-launch draws (crash, straggler) and the domain-shock
-    process, so shock timing does not depend on how many instances a
-    scheduler launched.
-    """
-
-    enabled: bool = False
-    crash_rate_per_hour: float = 0.0
-    num_domains: int = 4
-    domain_shock_rate_per_hour: float = 0.0
-    straggler_rate_per_hour: float = 0.0
-    straggler_slowdown: tuple[float, float] = (0.3, 0.7)
-    straggler_duration_s: float = 3600.0
-    seed: int = 0
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-
-    def __post_init__(self) -> None:
-        for name in (
-            "crash_rate_per_hour",
-            "domain_shock_rate_per_hour",
-            "straggler_rate_per_hour",
-            "straggler_duration_s",
-        ):
-            value = getattr(self, name)
-            _require_finite(name, value)
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
-        if self.straggler_duration_s <= 0:
-            raise ValueError("straggler_duration_s must be positive")
-        if self.num_domains < 1:
-            raise ValueError("num_domains must be >= 1")
-        lo, hi = self.straggler_slowdown
-        _require_finite("straggler_slowdown[0]", lo)
-        _require_finite("straggler_slowdown[1]", hi)
-        if not 0.0 < lo <= hi <= 1.0:
-            raise ValueError(
-                "straggler_slowdown must satisfy 0 < lo <= hi <= 1, "
-                f"got {self.straggler_slowdown}"
-            )
-
-
-_WORK_EPS = 1e-9
-
-
-class TaskStatus(Enum):
-    QUEUED = "queued"  # never placed
-    PENDING = "pending"  # placed; waiting for instance/migration delays
-    RUNNING = "running"
-
-
-@dataclass
-class _TaskRT:
-    task: Task
-    status: TaskStatus = TaskStatus.QUEUED
-    instance_id: str | None = None
-    resume_version: int = 0
-    #: Instance crashes this task has survived (drives the capped
-    #: exponential retry backoff; scheduler unassigns don't count).
-    failures: int = 0
-    #: Earliest time the task may resume after a failure (capped
-    #: exponential backoff); 0.0 — never constraining — without faults.
-    retry_until_s: float = 0.0
-
-
-@dataclass
-class _JobRT:
-    job: Job
-    arrival_s: float
-    work_done_h: float = 0.0
-    rate: float = 0.0
-    last_update_s: float = 0.0
-    idle_h: float = 0.0
-    finish_version: int = 0
-    finished: bool = False
-    finish_s: float = 0.0
-    #: Immutable task_id → Task map, built once at arrival and reused by
-    #: every snapshot instead of re-walking ``job.tasks``.
-    task_map: dict[str, Task] = field(default_factory=dict)
-    #: Checkpoint cadence in wall-clock seconds; None when failure
-    #: injection is off (the rollback machinery then costs nothing).
-    ckpt_interval_s: float | None = None
-    #: Work recorded at the last completed checkpoint — what an abrupt
-    #: crash rolls ``work_done_h`` back to.
-    ckpt_work_h: float = 0.0
-    #: Time of the last completed checkpoint (anchored at arrival).
-    last_ckpt_s: float = 0.0
-    #: Start of the current failure outage, or None when healthy; spans
-    #: from an instance crash until the job's rate recovers above zero
-    #: (per-job MTTR accumulates from these).
-    outage_start_s: float | None = None
-
-    def advance(self, now_s: float) -> None:
-        """Integrate progress (and idle time) up to ``now_s``."""
-        dt_h = (now_s - self.last_update_s) / 3600.0
-        if dt_h <= 0:
-            return
-        interval = self.ckpt_interval_s
-        if interval is not None:
-            # Complete every checkpoint boundary crossed in this span.
-            # ``last_ckpt_s + interval > last_update_s`` holds because
-            # every advance consumes its boundaries, so the rate is
-            # constant from ``last_update_s`` to the latest boundary and
-            # the work there is exact.
-            periods = (now_s - self.last_ckpt_s) // interval
-            if periods >= 1.0:
-                boundary_s = self.last_ckpt_s + periods * interval
-                self.ckpt_work_h = self.work_done_h + self.rate * (
-                    (boundary_s - self.last_update_s) / 3600.0
-                )
-                self.last_ckpt_s = boundary_s
-        if self.rate > 0:
-            self.work_done_h += self.rate * dt_h
-        else:
-            self.idle_h += dt_h
-        self.last_update_s = now_s
-
-    @property
-    def remaining_h(self) -> float:
-        return max(0.0, self.job.duration_hours - self.work_done_h)
-
-
-@dataclass
-class _InstanceRT:
-    instance_state_instance: object  # Instance; kept loose to avoid import cycle
-    ready_time_s: float
-    assigned: set[str] = field(default_factory=set)
-    alive: bool = True
-    #: Sorted workloads of the RUNNING tasks on this instance; None when a
-    #: membership/status change invalidated it (recomputed lazily).
-    running_cache: tuple[str, ...] | None = None
-    #: Frozen copy of ``assigned`` for snapshots; None when stale.
-    frozen_cache: frozenset[str] | None = None
-    #: Round-robin failure-domain id (rack/AZ analogue); only assigned
-    #: when fault injection is on.
-    failure_domain: int = 0
-    #: Straggler multiplier on effective throughput; 1.0 when healthy.
-    slowdown: float = 1.0
-    #: Burstable-credit multiplier; 1.0 until the instance exhausts its
-    #: CPU credits (kept separate from ``slowdown`` so a straggler fault
-    #: and credit exhaustion compose instead of clobbering each other).
-    credit_mult: float = 1.0
-    #: Whether the instance was launched on the spot market (price-change
-    #: re-rating must keep the spot discount in the new rate).
-    spot: bool = False
-    #: Per-run launch ordinal (0 = the run's first launch).  Result
-    #: records use this instead of ``instance_id``: ids come from a
-    #: process-global counter, so embedding one would break run-to-run
-    #: and serial-vs-parallel byte identity.
-    launch_index: int = 0
-
-    @property
-    def instance(self):
-        return self.instance_state_instance
-
-    @property
-    def instance_id(self) -> str:
-        return self.instance.instance_id
-
-    def invalidate(self) -> None:
-        self.running_cache = None
-        self.frozen_cache = None
-
-
-class SimulationError(RuntimeError):
-    """Raised on internal inconsistencies or runaway simulations."""
-
-
-class _SimEnvironment(ClusterEnvironment):
-    """Simulator backend of the action protocol.
-
-    Implements the five primitives against the discrete-event state —
-    cloud ledger, runtime tables, delay-model draws, event queue — and
-    inherits the shared action interpreter from
-    :class:`~repro.core.protocol.ClusterEnvironment`.  Checkpoint holds
-    (a migrating task's source instance must stay up until its
-    checkpoint completes) are per-decision state, reset by
-    ``begin_decision``; the canonical action order guarantees every
-    migration off an instance precedes that instance's termination.
-    """
-
-    def __init__(self, sim: "ClusterSimulator"):
-        self._sim = sim
-        self._hold_until: dict[str, float] = {}
-
-    def begin_decision(self) -> None:
-        self._hold_until.clear()
-
-    def launch_instance(self, action: LaunchInstance) -> None:
-        sim = self._sim
-        instance = action.instance
-        # Schedulers may opt out of the spot market per round by setting
-        # a ``use_spot = False`` attribute (the eva-market on-demand
-        # fallback during eviction storms): the launch then bills at the
-        # full on-demand rate and draws no preemption lifetime.  Absent
-        # the attribute this is exactly ``sim.spot.enabled``.
-        spot_launch = sim.spot.enabled and bool(
-            getattr(sim.scheduler, "use_spot", True)
-        )
-        receipt = sim.cloud.launch(
-            instance.instance_type,
-            sim.now_s,
-            instance=instance,
-            spot=spot_launch,
-        )
-        rt = _InstanceRT(
-            instance_state_instance=instance,
-            ready_time_s=receipt.ready_time_s,
-            launch_index=sim._launch_seq,
-            spot=spot_launch,
-        )
-        sim._launch_seq += 1
-        sim._instances[instance.instance_id] = rt
-        sim._placement_epoch += 1
-        sim._acct.instance_up(instance.instance_type)
-        if sim._market_rt is not None:
-            if receipt.pool_exhausted:
-                sim._pool_exhaustions += 1
-                index = sim._market_rt.pool_index_for_family(
-                    instance.instance_type.family
-                )
-                sim._pending_obs.append(
-                    PoolExhausted(
-                        pool=receipt.pool,
-                        time_s=sim.now_s,
-                        families=sim._market_rt.pool(index).families,
-                    )
-                )
-            credits = sim.market.credits
-            if (
-                sim._credit_enabled
-                and instance.instance_type.family in credits.families
-            ):
-                # Exhaustion is deterministic from the launch timestamp
-                # (fixed net burn while billed; see CreditModel).
-                sim.queue.push(
-                    Event(
-                        sim.now_s + credits.exhaustion_horizon_s,
-                        EventKind.CREDIT_EXHAUSTED,
-                        instance.instance_id,
-                    )
-                )
-        if sim._fail_enabled:
-            fail = sim.failures
-            rt.failure_domain = sim._next_domain
-            sim._next_domain = (sim._next_domain + 1) % fail.num_domains
-            # Fixed per-launch draw order (crash lifetime, then straggler
-            # onset + factor) keeps the stream deterministic regardless
-            # of which events later turn out stale.
-            if fail.crash_rate_per_hour > 0:
-                life_s = float(
-                    sim._fail_rng.exponential(
-                        3600.0 / fail.crash_rate_per_hour
-                    )
-                )
-                sim.queue.push(
-                    Event(
-                        sim.now_s + life_s,
-                        EventKind.INSTANCE_FAILURE,
-                        ("instance", instance.instance_id),
-                    )
-                )
-            if fail.straggler_rate_per_hour > 0:
-                onset_s = float(
-                    sim._fail_rng.exponential(
-                        3600.0 / fail.straggler_rate_per_hour
-                    )
-                )
-                lo, hi = fail.straggler_slowdown
-                factor = float(sim._fail_rng.uniform(lo, hi))
-                sim.queue.push(
-                    Event(
-                        sim.now_s + onset_s,
-                        EventKind.SLOWDOWN_START,
-                        (instance.instance_id, factor),
-                    )
-                )
-        if spot_launch:
-            rate_per_hour = sim.spot.preemption_rate_per_hour
-            if (
-                sim._market_rt is not None
-                and sim.market.eviction_coupling != 0.0
-            ):
-                # Price pressure at launch scales the eviction hazard:
-                # hot markets reclaim discounted capacity faster.  The
-                # guard keeps the legacy draw arithmetic untouched when
-                # no market (or no coupling) is configured.
-                mult = sim._market_rt.multiplier_at(
-                    instance.instance_type, sim.now_s
-                )
-                if mult != 1.0:
-                    rate_per_hour = rate_per_hour * (
-                        mult**sim.market.eviction_coupling
-                    )
-            lifetime_s = float(
-                sim._spot_rng.exponential(3600.0 / rate_per_hour)
-            )
-            preempt_at = sim.now_s + lifetime_s
-            sim.queue.push(
-                Event(
-                    preempt_at,
-                    EventKind.INSTANCE_PREEMPTION,
-                    instance.instance_id,
-                )
-            )
-            if sim.spot.notice_s > 0:
-                sim.queue.push(
-                    Event(
-                        max(sim.now_s, preempt_at - sim.spot.notice_s),
-                        EventKind.EVICTION_NOTICE,
-                        (instance.instance_id, preempt_at),
-                    )
-                )
-
-    def assign_task(self, action: AssignTask) -> None:
-        sim = self._sim
-        sim._placements += 1
-        self._start_task(
-            sim._tasks[action.task_id],
-            action.instance_id,
-            checkpoint_done=sim.now_s,
-        )
-
-    def migrate_task(self, action: MigrateTask) -> None:
-        sim = self._sim
-        task_rt = sim._tasks[action.task_id]
-        task = task_rt.task
-        src_rt = sim._instances[action.src_instance_id]
-        src_rt.assigned.discard(action.task_id)
-        src_rt.invalidate()
-        if src_rt.alive:
-            sim._acct.task_unassigned(task, src_rt.instance.instance_type)
-        checkpoint = sim.delay_model.checkpoint_s(task.migration.checkpoint_s)
-        self._hold_until[action.src_instance_id] = max(
-            self._hold_until.get(action.src_instance_id, 0.0),
-            sim.now_s + checkpoint,
-        )
-        sim._migrations += 1
-        self._start_task(
-            task_rt,
-            action.dst_instance_id,
-            checkpoint_done=sim.now_s + checkpoint,
-        )
-
-    def unassign_task(self, action: UnassignTask) -> None:
-        sim = self._sim
-        task_rt = sim._tasks[action.task_id]
-        task = task_rt.task
-        src_rt = sim._instances[action.instance_id]
-        src_rt.assigned.discard(action.task_id)
-        src_rt.invalidate()
-        if src_rt.alive:
-            sim._acct.task_unassigned(task, src_rt.instance.instance_type)
-        # The checkpoint keeps the task's progress; the source must stay
-        # up (and billed) until it completes, like a migration's source.
-        checkpoint = sim.delay_model.checkpoint_s(task.migration.checkpoint_s)
-        self._hold_until[action.instance_id] = max(
-            self._hold_until.get(action.instance_id, 0.0),
-            sim.now_s + checkpoint,
-        )
-        task_rt.status = TaskStatus.QUEUED
-        task_rt.instance_id = None
-        task_rt.resume_version += 1
-        sim._placement_epoch += 1
-
-    def terminate_instance(self, action: TerminateInstance) -> None:
-        sim = self._sim
-        iid = action.instance_id
-        rt = sim._instances.get(iid)
-        if rt is None or not rt.alive:
-            return
-        if rt.assigned:
-            raise SimulationError(
-                f"terminating instance {iid} with assigned tasks {rt.assigned}"
-            )
-        rt.alive = False
-        sim._placement_epoch += 1
-        sim._acct.instance_down(rt.instance.instance_type)
-        when = self._hold_until.get(iid, sim.now_s)
-        if when <= sim.now_s:
-            sim.cloud.terminate(iid, sim.now_s)
-            del sim._instances[iid]
-        else:
-            sim._terminate_holds[iid] = when
-            sim.queue.push(Event(when, EventKind.INSTANCE_TERMINATE, iid))
-
-    def _start_task(
-        self, task_rt: _TaskRT, dst: str, checkpoint_done: float
-    ) -> None:
-        """Shared placement tail: bind the task and queue its resume."""
-        sim = self._sim
-        task = task_rt.task
-        dst_rt = sim._instances[dst]
-        dst_rt.assigned.add(task.task_id)
-        dst_rt.invalidate()
-        sim._acct.task_assigned(task, dst_rt.instance.instance_type)
-        task_rt.instance_id = dst
-        task_rt.status = TaskStatus.PENDING
-        task_rt.resume_version += 1
-        sim._placement_epoch += 1
-        # Delays are sequential (Table 1): the checkpoint must finish
-        # AND the destination must be up before the task launch delay
-        # starts.
-        launch = sim.delay_model.launch_s(task.migration.launch_s)
-        resume = max(dst_rt.ready_time_s, checkpoint_done) + launch
-        if task_rt.retry_until_s > resume:
-            # Capped exponential backoff of a repeatedly failing task:
-            # the placement happens, but the restart waits out the
-            # cooldown (0.0 without faults — never constraining).
-            resume = task_rt.retry_until_s
-        sim.queue.push(
-            Event(
-                resume,
-                EventKind.TASK_READY,
-                (task.task_id, task_rt.resume_version),
-            )
-        )
 
 
 class ClusterSimulator:
@@ -647,10 +111,15 @@ class ClusterSimulator:
         failures: FailureConfig | None = None,
         market: MarketConfig | None = None,
     ):
-        if period_s <= 0:
-            raise ValueError("period_s must be positive")
-        if deadline_warning_s is not None and deadline_warning_s < 0:
-            raise ValueError("deadline_warning_s must be >= 0")
+        for name, value in (("period_s", period_s), ("max_sim_hours", max_sim_hours)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if deadline_warning_s is not None and not (
+            math.isfinite(deadline_warning_s) and deadline_warning_s >= 0
+        ):
+            raise ValueError(
+                f"deadline_warning_s must be finite and >= 0, got {deadline_warning_s}"
+            )
         self.trace = trace
         self.scheduler = scheduler
         self.interference = interference or InterferenceModel()
@@ -658,45 +127,19 @@ class ClusterSimulator:
         self.period_s = period_s
         self.validate = validate
         self.max_sim_hours = max_sim_hours
-        self.spot = spot or SpotConfig()
-        self._spot_rng = np.random.default_rng(self.spot.seed)
-        self._preemptions = 0
-        self.failures = failures or FailureConfig()
-        self._fail_enabled = self.failures.enabled
-        #: Two independent streams (see :class:`FailureConfig`): one for
-        #: per-launch draws (crash lifetime, straggler onset + factor),
-        #: one for the domain-shock Poisson process, so shock timing does
-        #: not depend on how many instances the scheduler launched.
-        self._fail_rng = np.random.default_rng([self.failures.seed, 1])
-        self._shock_rng = np.random.default_rng([self.failures.seed, 2])
-        self._next_domain = 0
         self._launch_seq = 0
-        #: Throughput multiplier charging checkpoint overhead against
-        #: every running job; exactly 1.0 when faults are off, keeping
-        #: the fault-free rate arithmetic byte-identical.
-        self._ckpt_rate_mult = (
-            1.0 - self.failures.retry.checkpoint_overhead
-            if self._fail_enabled
-            else 1.0
-        )
-        self._failure_outcomes: list[FailureOutcome] = []
-        self._repair_outcomes: list[RepairOutcome] = []
+        #: Checkpoint cadence of every arriving job and the throughput
+        #: multiplier charging checkpoint overhead against every running
+        #: job.  Neutral (no checkpoints, exactly 1.0) unless fault
+        #: injection sets them, keeping the fault-free rate arithmetic
+        #: byte-identical.
+        self._ckpt_interval_s: float | None = None
+        self._ckpt_rate_mult = 1.0
+        #: Set once any instance's throughput factor left 1.0; until then
+        #: ``_job_rate`` skips the per-task factor lookups.
+        self._degraded = False
 
-        self.market = market or MarketConfig()
-        #: Runtime market state (prices, capacity, membership); None on
-        #: the no-market path, which then performs no price arithmetic.
-        self._market_rt = (
-            MarketRuntime(self.market) if self.market.active else None
-        )
-        credits = self.market.credits if self._market_rt is not None else None
-        self._credit_enabled = credits is not None and bool(credits.families)
-        self._price_changes = 0
-        self._pool_exhaustions = 0
-        self._credit_exhaustions = 0
-
-        self.cloud = SimulatedCloud(
-            delay_model=self.delay_model, market=self._market_rt
-        )
+        self.cloud = SimulatedCloud(delay_model=self.delay_model)
         self.queue = EventQueue()
         self.now_s = 0.0
 
@@ -759,6 +202,36 @@ class ClusterSimulator:
         #: Finish-order SLO records of deadline-bearing jobs.
         self._deadline_outcomes: list[DeadlineOutcome] = []
 
+        # Event processes, enabled ones only, in per-launch hook order:
+        # market/credit, then crash and straggler, then spot preemption
+        # and notice (the market attaches its runtime to the cloud before
+        # spot reads it for the eviction coupling).
+        market_process = (
+            MarketProcess(self, market) if market is not None and market.active else None
+        )
+        self._failure = (
+            FailureProcess(self, failures)
+            if failures is not None and failures.enabled
+            else None
+        )
+        self._spot = SpotProcess(self, spot) if spot is not None and spot.enabled else None
+        self._processes: list[EventProcess] = [
+            p for p in (market_process, self._failure, self._spot) if p is not None
+        ]
+        #: Event dispatch table: the five core kinds, then each process's.
+        self._handlers: dict[EventKind, Handler] = {
+            EventKind.JOB_ARRIVAL: self._on_arrival,
+            EventKind.TASK_READY: self._on_task_ready,
+            EventKind.JOB_FINISH: self._on_job_finish,
+            EventKind.INSTANCE_TERMINATE: self._on_instance_terminate,
+            EventKind.SCHEDULING_ROUND: self._on_round,
+        }
+        for process in self._processes:
+            for kind, handler in process.handlers().items():
+                if kind in self._handlers:
+                    raise SimulationError(f"event kind {kind.name} has two owners")
+                self._handlers[kind] = handler
+
     # ------------------------------------------------------------------
     # Public entry point
     # ------------------------------------------------------------------
@@ -767,16 +240,8 @@ class ClusterSimulator:
             Event(job.arrival_time_s, EventKind.JOB_ARRIVAL, job)
             for job in self.trace
         )
-        if self._fail_enabled and self.failures.domain_shock_rate_per_hour > 0:
-            self._schedule_next_shock()
-        if self._market_rt is not None:
-            # One self-scheduling PRICE_CHANGE stream per non-static
-            # pool; a static pool (or an all-static market) arms nothing
-            # and the event loop is untouched.
-            for index, boundary in self._market_rt.initial_boundaries():
-                self.queue.push(
-                    Event(boundary, EventKind.PRICE_CHANGE, index)
-                )
+        for process in self._processes:
+            process.arm()
         total_jobs = len(self.trace)
 
         while self.queue:
@@ -798,6 +263,11 @@ class ClusterSimulator:
         adoption = getattr(self.scheduler, "full_adoption_fraction", None)
         if callable(adoption):
             full_fraction = adoption()
+        # Each process adds its own fields; a disabled subsystem leaves
+        # them at their defaults (omitted from the pickle).
+        process_fields: dict[str, object] = {}
+        for process in self._processes:
+            process_fields.update(process.result_fields())
         return SimulationResult(
             scheduler_name=self.scheduler.name,
             trace_name=self.trace.name,
@@ -812,25 +282,13 @@ class ClusterSimulator:
             makespan_hours=end_s / 3600.0,
             full_adoption_fraction=full_fraction,
             scheduling_rounds=self._rounds,
-            preemptions=self._preemptions,
             # Finish order (deterministic), i.e. the order the O(delta)
             # totals accumulated in — so naive_deadline_totals over the
             # stored records reproduces the totals bit for bit.
             deadline_outcomes=tuple(self._deadline_outcomes),
             deadline_miss_count=self._acct.deadline_misses,
             deadline_total_lateness_s=self._acct.deadline_lateness_s,
-            # Reliability records and O(1)-accumulated totals; all at
-            # their defaults (and omitted from the pickle) without
-            # fault injection.
-            failure_outcomes=tuple(self._failure_outcomes),
-            repair_outcomes=tuple(self._repair_outcomes),
-            task_restarts=self._acct.task_restarts,
-            work_lost_h=self._acct.work_lost_h,
-            # Spot-market totals; all zero (and omitted from the pickle)
-            # without an active market.
-            price_changes=self._price_changes,
-            pool_exhaustions=self._pool_exhaustions,
-            credit_exhaustions=self._credit_exhaustions,
+            **process_fields,
         )
 
     # ------------------------------------------------------------------
@@ -838,53 +296,25 @@ class ClusterSimulator:
     # ------------------------------------------------------------------
     def _dispatch(self, event: Event) -> None:
         self.events_dispatched += 1
-        if event.kind == EventKind.JOB_ARRIVAL:
-            self._on_arrival(event.payload)
-        elif event.kind == EventKind.TASK_READY:
-            task_id, version = event.payload
-            self._on_task_ready(task_id, version)
-        elif event.kind == EventKind.JOB_FINISH:
-            job_id, version = event.payload
-            self._on_job_finish(job_id, version)
-        elif event.kind == EventKind.INSTANCE_PREEMPTION:
-            self._on_instance_preemption(event.payload)
-        elif event.kind == EventKind.INSTANCE_TERMINATE:
-            self._on_instance_terminate(event.payload)
-        elif event.kind == EventKind.EVICTION_NOTICE:
-            instance_id, eviction_time_s = event.payload
-            self._on_eviction_notice(instance_id, eviction_time_s)
-        elif event.kind == EventKind.INSTANCE_FAILURE:
-            scope, target = event.payload
-            self._on_instance_failure(scope, target)
-        elif event.kind == EventKind.SLOWDOWN_START:
-            instance_id, factor = event.payload
-            self._on_slowdown_start(instance_id, factor)
-        elif event.kind == EventKind.SLOWDOWN_END:
-            self._on_slowdown_end(event.payload)
-        elif event.kind == EventKind.PRICE_CHANGE:
-            self._on_price_change(event.payload)
-        elif event.kind == EventKind.CREDIT_EXHAUSTED:
-            self._on_credit_exhausted(event.payload)
-        elif event.kind == EventKind.SCHEDULING_ROUND:
-            self._on_round()
-        else:  # pragma: no cover - defensive
-            raise SimulationError(f"unknown event kind {event.kind}")
+        handler = self._handlers.get(event.kind)
+        if handler is None:
+            raise SimulationError(f"no handler owns event kind {event.kind.name}")
+        handler(event.payload)
 
     # ------------------------------------------------------------------
     # Arrivals
     # ------------------------------------------------------------------
     def _on_arrival(self, job: Job) -> None:
+        # Checkpoint cadence anchors at arrival; a crash rolls the job
+        # back to the last completed boundary.
         rt = _JobRT(
             job=job,
             arrival_s=self.now_s,
             last_update_s=self.now_s,
             task_map={t.task_id: t for t in job.tasks},
+            ckpt_interval_s=self._ckpt_interval_s,
+            last_ckpt_s=self.now_s,
         )
-        if self._fail_enabled:
-            # Checkpoint cadence anchors at arrival; a crash rolls the
-            # job back to the last completed boundary.
-            rt.ckpt_interval_s = self.failures.retry.checkpoint_interval_s
-            rt.last_ckpt_s = self.now_s
         self._jobs[job.job_id] = rt
         for task in job.tasks:
             self._tasks[task.task_id] = _TaskRT(task=task)
@@ -911,7 +341,7 @@ class ClusterSimulator:
     def _live_job_ids(self) -> list[str]:
         return [jid for jid, rt in self._jobs.items() if not rt.finished]
 
-    def _on_round(self) -> None:
+    def _on_round(self, _: None) -> None:
         if self._armed_round_s is None or self.now_s != self._armed_round_s:
             return  # stale round event, superseded by an earlier re-arm
         self._armed_round_s = None
@@ -1050,10 +480,12 @@ class ClusterSimulator:
         self._reports_epoch = self._placement_epoch
         return self._reports_cache
 
+
     # ------------------------------------------------------------------
     # Task / job / instance events
     # ------------------------------------------------------------------
-    def _on_task_ready(self, task_id: str, version: int) -> None:
+    def _on_task_ready(self, payload: tuple[str, int]) -> None:
+        task_id, version = payload
         task_rt = self._tasks.get(task_id)
         if task_rt is None or task_rt.resume_version != version:
             return
@@ -1070,7 +502,8 @@ class ClusterSimulator:
             inst.running_cache = None
         self._refresh_rates(affected)
 
-    def _on_job_finish(self, job_id: str, version: int) -> None:
+    def _on_job_finish(self, payload: tuple[str, int]) -> None:
+        job_id, version = payload
         job_rt = self._jobs.get(job_id)
         if job_rt is None or job_rt.finished or job_rt.finish_version != version:
             return  # stale event from a superseded rate estimate
@@ -1101,11 +534,8 @@ class ClusterSimulator:
                 inst.invalidate()
                 if inst.alive:
                     self._acct.task_unassigned(task, inst.instance.instance_type)
-                if not inst.assigned and inst.alive:
-                    inst.alive = False
-                    self._acct.instance_down(inst.instance.instance_type)
-                    self.cloud.terminate(iid, self.now_s)
-                    del self._instances[iid]
+                    if not inst.assigned:
+                        self._instance_down(iid, inst)
             del self._tasks[task.task_id]
         self._outcomes.append(
             JobOutcome(
@@ -1135,116 +565,22 @@ class ClusterSimulator:
         self._pending_obs.append(JobFinished(job_id=job_id, time_s=self.now_s))
         self._refresh_rates(affected)
 
-    def _on_eviction_notice(self, instance_id: str, eviction_time_s: float) -> None:
-        """The spot market warns that ``instance_id`` will be reclaimed.
-
-        The notice becomes a typed observation for the next scheduling
-        round (which this arms); if the instance is already gone the
-        notice is stale and dropped.
-        """
-        rt = self._instances.get(instance_id)
-        if rt is None or not rt.alive:
-            return
-        self._pending_obs.append(
-            SpotEvictionNotice(
-                instance_id=instance_id, eviction_time_s=eviction_time_s
-            )
-        )
-        self._ensure_round_scheduled()
-
-    def _on_instance_preemption(self, instance_id: str) -> None:
-        """The spot market reclaims an instance: tasks return to the queue.
-
-        Progress is preserved — the interruption notice covers the
-        checkpoint — but the tasks wait for the next scheduling round and
-        pay fresh launch delays wherever they land.
-        """
-        rt = self._instances.get(instance_id)
-        if rt is None or not rt.alive:
-            return  # already terminated; stale preemption draw
-        affected = self._jobs_sharing_instance(instance_id)
-        self._advance_all(affected)
-        for task_id in sorted(rt.assigned):
-            task_rt = self._tasks.get(task_id)
-            if task_rt is None:
-                continue
-            self._acct.task_unassigned(task_rt.task, rt.instance.instance_type)
-            task_rt.status = TaskStatus.QUEUED
-            task_rt.instance_id = None
-            task_rt.resume_version += 1
-        rt.assigned.clear()
-        rt.invalidate()
-        rt.alive = False
-        self._placement_epoch += 1
-        self._acct.instance_down(rt.instance.instance_type)
-        self.cloud.terminate(instance_id, self.now_s)
-        del self._instances[instance_id]
-        self._preemptions += 1
-        self._refresh_rates(affected)
-        self._ensure_round_scheduled()
-
     # ------------------------------------------------------------------
-    # Fault injection (FailureConfig)
+    # Instance loss, take-down and throughput factors (shared by the
+    # event processes)
     # ------------------------------------------------------------------
-    def _schedule_next_shock(self) -> None:
-        """Arm the next correlated domain shock (Poisson process).
+    def _lose_instance(self, instance_id: str) -> tuple[set[str], list[_TaskRT]]:
+        """A live instance vanishes with its tasks (preemption, crash).
 
-        Draws come from the dedicated shock stream in a fixed order
-        (inter-arrival gap, then target domain), so the shock schedule
-        is a pure function of the failure seed — independent of how many
-        instances any scheduler launched.
+        Advances the jobs sharing it, returns its tasks to the queue in
+        sorted order and takes it down.  Returns the affected job ids and
+        the requeued tasks; the caller refreshes the affected rates once
+        its own bookkeeping (rollback, counters) is done.
         """
-        fail = self.failures
-        gap_s = float(
-            self._shock_rng.exponential(
-                3600.0 / fail.domain_shock_rate_per_hour
-            )
-        )
-        domain = int(self._shock_rng.integers(fail.num_domains))
-        self.queue.push(
-            Event(
-                self.now_s + gap_s,
-                EventKind.INSTANCE_FAILURE,
-                ("domain", domain),
-            )
-        )
-
-    def _on_instance_failure(self, scope: str, target) -> None:
-        """An injected failure fires: one instance or a whole domain.
-
-        Unlike spot preemption there is no graceful checkpoint — every
-        affected job rolls back to its last completed checkpoint and the
-        failure surfaces as an :class:`~repro.core.protocol.InstanceFailed`
-        observation at the next round (which this arms).
-        """
-        if scope == "domain":
-            victims = sorted(
-                iid
-                for iid, rt in self._instances.items()
-                if rt.alive and rt.failure_domain == target
-            )
-            for iid in victims:
-                self._fail_instance(iid, kind="domain-shock")
-            # The process is self-scheduling: each shock arms the next,
-            # keeping the queue bounded without knowing the makespan.
-            self._schedule_next_shock()
-            if victims:
-                self._ensure_round_scheduled()
-            return
-        rt = self._instances.get(target)
-        if rt is None or not rt.alive:
-            return  # stale crash draw: instance already gone
-        self._fail_instance(target, kind="crash")
-        self._ensure_round_scheduled()
-
-    def _fail_instance(self, instance_id: str, kind: str) -> None:
-        """Abruptly kill one instance: rollback, restarts, accounting."""
         rt = self._instances[instance_id]
-        domain = rt.failure_domain
-        retry = self.failures.retry
         affected = self._jobs_sharing_instance(instance_id)
         self._advance_all(affected)
-        tasks_lost = 0
+        requeued: list[_TaskRT] = []
         for task_id in sorted(rt.assigned):
             task_rt = self._tasks.get(task_id)
             if task_rt is None:
@@ -1253,161 +589,54 @@ class ClusterSimulator:
             task_rt.status = TaskStatus.QUEUED
             task_rt.instance_id = None
             task_rt.resume_version += 1
-            task_rt.failures += 1
-            tasks_lost += 1
-            self._acct.task_restarted()
-            if retry.backoff_base_s > 0:
-                delay = min(
-                    retry.backoff_cap_s,
-                    retry.backoff_base_s * (2.0 ** (task_rt.failures - 1)),
-                )
-                task_rt.retry_until_s = max(
-                    task_rt.retry_until_s, self.now_s + delay
-                )
-        job_losses: list[tuple[str, float]] = []
-        for jid in sorted(affected):
-            job_rt = self._jobs.get(jid)
-            if job_rt is None or job_rt.finished:
-                continue
-            lost = job_rt.work_done_h - job_rt.ckpt_work_h
-            if lost > 0.0:
-                # The un-checkpointed progress is gone; the task-level
-                # resume_version bump above makes the loss observable as
-                # real re-execution, not just bookkeeping.
-                job_rt.work_done_h = job_rt.ckpt_work_h
-                self._acct.job_work_lost(lost)
-                job_losses.append((jid, lost))
-            if job_rt.outage_start_s is None:
-                job_rt.outage_start_s = self.now_s
+            requeued.append(task_rt)
         rt.assigned.clear()
         rt.invalidate()
+        self._instance_down(instance_id, rt)
+        return affected, requeued
+
+    def _instance_down(
+        self, instance_id: str, rt: _InstanceRT, release_s: float = 0.0
+    ) -> None:
+        """Take a live instance out of service.
+
+        Billing stops now, or at ``release_s`` when a migration's
+        checkpoint holds the instance up until then.
+        """
         rt.alive = False
         self._placement_epoch += 1
         self._acct.instance_down(rt.instance.instance_type)
-        self._acct.instance_failed()
-        self.cloud.terminate(instance_id, self.now_s)
-        del self._instances[instance_id]
-        self._failure_outcomes.append(
-            FailureOutcome(
-                instance_index=rt.launch_index,
-                time_s=self.now_s,
-                failure_domain=domain,
-                kind=kind,
-                tasks_lost=tasks_lost,
-                job_losses=tuple(job_losses),
+        if release_s <= self.now_s:
+            self.cloud.terminate(instance_id, self.now_s)
+            del self._instances[instance_id]
+        else:
+            self._terminate_holds[instance_id] = release_s
+            self.queue.push(
+                Event(release_s, EventKind.INSTANCE_TERMINATE, instance_id)
             )
-        )
-        self._pending_obs.append(
-            InstanceFailed(
-                instance_id=instance_id,
-                time_s=self.now_s,
-                failure_domain=domain,
-            )
-        )
-        self._refresh_rates(affected)
 
-    def _on_slowdown_start(self, instance_id: str, factor: float) -> None:
-        """A straggler fault begins: the instance runs at ``factor``."""
-        rt = self._instances.get(instance_id)
-        if rt is None or not rt.alive:
-            return  # stale straggler draw
-        affected = self._jobs_sharing_instance(instance_id)
-        self._advance_all(affected)
-        rt.slowdown = factor
-        # Reported rates are placement-visible state: bump the epoch so
-        # snapshot/report caches rebuild with the degraded throughput.
-        self._placement_epoch += 1
-        self.queue.push(
-            Event(
-                self.now_s + self.failures.straggler_duration_s,
-                EventKind.SLOWDOWN_END,
-                instance_id,
-            )
-        )
-        self._pending_obs.append(
-            StragglerReport(
-                instance_id=instance_id, time_s=self.now_s, slowdown=factor
-            )
-        )
-        self._refresh_rates(affected)
-        self._ensure_round_scheduled()
+    def _set_throughput_factor(
+        self,
+        rt: _InstanceRT,
+        factor: Literal["slowdown", "credit_mult"],
+        value: float,
+    ) -> None:
+        """Set one of an instance's throughput multipliers and report it.
 
-    def _on_slowdown_end(self, instance_id: str) -> None:
-        """The straggler recovers; a ``slowdown=1.0`` report announces it."""
-        rt = self._instances.get(instance_id)
-        if rt is None or not rt.alive or rt.slowdown == 1.0:
-            return
-        affected = self._jobs_sharing_instance(instance_id)
-        self._advance_all(affected)
-        rt.slowdown = 1.0
-        self._placement_epoch += 1
-        self._pending_obs.append(
-            StragglerReport(
-                instance_id=instance_id, time_s=self.now_s, slowdown=1.0
-            )
-        )
-        self._refresh_rates(affected)
-        self._ensure_round_scheduled()
-
-    def _on_price_change(self, pool_index: int) -> None:
-        """A pool's price segment boundary: refresh, re-rate, re-arm.
-
-        Consumes no RNG (the walk's draws are a pure function of the
-        segment index), so price events never perturb the spot/failure
-        streams.  Live instances in the pool are re-rated in sorted-id
-        order through the O(1) billing-record split; a boundary whose
-        quantized price matches the current level is silent (no
-        observation, no re-rate, no round).
+        Jobs on the instance advance under the old rate first.  Reported
+        rates are placement-visible state, so the epoch moves and the
+        snapshot/report caches rebuild.  Schedulers learn of the new
+        factor as a ``StragglerReport`` (slow, not down) at the round
+        this arms.
         """
-        rt = self._market_rt
-        old, new = rt.refresh(pool_index, self.now_s)
-        boundary = rt.next_boundary_after(pool_index, self.now_s)
-        if boundary is not None:
-            self.queue.push(Event(boundary, EventKind.PRICE_CHANGE, pool_index))
-        if new == old:
-            return
-        self._price_changes += 1
-        pool = rt.pool(pool_index)
-        for iid in rt.members_of(pool_index):
-            inst = self._instances[iid]
-            itype = inst.instance.instance_type
-            discount = self.cloud.spot_discount if inst.spot else 1.0
-            self.cloud.ledger.change_rate(
-                iid, self.now_s, itype.hourly_cost * discount * new
-            )
-        self._pending_obs.append(
-            PriceChanged(
-                pool=pool.name,
-                time_s=self.now_s,
-                multiplier=new,
-                previous=old,
-                families=pool.families,
-            )
-        )
-        self._ensure_round_scheduled()
-
-    def _on_credit_exhausted(self, instance_id: str) -> None:
-        """A burstable instance runs out of CPU credits.
-
-        Effective throughput drops to the credit model's baseline for
-        the rest of the instance's life; schedulers learn of the
-        degraded capacity through the existing ``StragglerReport``
-        channel (same semantics: slow, not down), so drain policies
-        like eva-failure's apply unchanged.
-        """
-        rt = self._instances.get(instance_id)
-        if rt is None or not rt.alive or rt.credit_mult != 1.0:
-            return  # stale draw: the instance died first, or already burnt
-        affected = self._jobs_sharing_instance(instance_id)
+        affected = self._jobs_sharing_instance(rt.instance_id)
         self._advance_all(affected)
-        rt.credit_mult = self.market.credits.baseline_fraction
+        setattr(rt, factor, value)
+        self._degraded = True
         self._placement_epoch += 1
-        self._credit_exhaustions += 1
         self._pending_obs.append(
             StragglerReport(
-                instance_id=instance_id,
-                time_s=self.now_s,
-                slowdown=rt.credit_mult,
+                instance_id=rt.instance_id, time_s=self.now_s, slowdown=value
             )
         )
         self._refresh_rates(affected)
@@ -1430,10 +659,7 @@ class ClusterSimulator:
                 self._on_instance_terminate(event.payload)
         for iid, rt in sorted(self._instances.items()):
             if rt.alive:
-                rt.alive = False
-                self._acct.instance_down(rt.instance.instance_type)
-                self.cloud.terminate(iid, self.now_s)
-        self._instances.clear()
+                self._instance_down(iid, rt)
 
     # ------------------------------------------------------------------
     # Rates and progress
@@ -1463,8 +689,7 @@ class ClusterSimulator:
 
     def _job_rate(self, job_rt: _JobRT) -> float:
         rate = 1.0
-        fail_enabled = self._fail_enabled
-        credit_enabled = self._credit_enabled
+        degraded = self._degraded
         for task in job_rt.job.tasks:
             task_rt = self._tasks[task.task_id]
             if task_rt.status is not TaskStatus.RUNNING:
@@ -1472,12 +697,12 @@ class ClusterSimulator:
             tput = self.interference.task_throughput_sorted(
                 task.workload, tuple(self._running_neighbours(task_rt))
             )
-            if fail_enabled:
+            if degraded:
                 inst = self._instances.get(task_rt.instance_id)
+                # Two factors applied one after the other: their product
+                # would round differently.
                 if inst is not None and inst.slowdown != 1.0:
                     tput *= inst.slowdown
-            if credit_enabled:
-                inst = self._instances.get(task_rt.instance_id)
                 if inst is not None and inst.credit_mult != 1.0:
                     tput *= inst.credit_mult
             rate = min(rate, tput)
@@ -1511,17 +736,9 @@ class ClusterSimulator:
             rt.rate = new_rate
             rt.finish_version += 1
             if new_rate > 0 and rt.outage_start_s is not None:
-                # The job's first positive rate since a failure closes
-                # its outage span (per-job MTTR accumulates from these).
-                self._acct.job_repaired(self.now_s - rt.outage_start_s)
-                self._repair_outcomes.append(
-                    RepairOutcome(
-                        job_id=jid,
-                        failed_s=rt.outage_start_s,
-                        recovered_s=self.now_s,
-                    )
-                )
-                rt.outage_start_s = None
+                # Only fault injection opens outages.
+                assert self._failure is not None
+                self._failure.job_recovered(jid, rt)
             if new_rate > 0:
                 eta_s = self.now_s + (rt.remaining_h / new_rate) * 3600.0
                 self.queue.push(
@@ -1542,13 +759,9 @@ class ClusterSimulator:
         if self.validate:
             # Cross-check the O(delta) totals against the naive re-scan on
             # every accounting step (tests run with validate=True).
-            self._acct.verify(
-                self._instances,
-                self._tasks,
-                self._deadline_outcomes,
-                self._failure_outcomes,
-                self._repair_outcomes,
-            )
+            self._acct.verify(self._instances, self._tasks, self._deadline_outcomes)
+            for process in self._processes:
+                process.verify()
         self._alloc.accumulate_totals(dt, self._acct)
         self._accounting_time_s = time_s
 

@@ -27,7 +27,7 @@ from repro.sim.batch import (
     run_grid,
     run_scenario,
 )
-from repro.sim.simulator import SpotConfig
+from repro.sim.processes.spot import SpotConfig
 from repro.workloads.synthetic import synthetic_trace
 
 

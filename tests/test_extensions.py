@@ -12,7 +12,8 @@ from repro.core.full_reconfig import configuration_cost, full_reconfiguration
 from repro.core.partial_reconfig import partial_reconfiguration
 from repro.core.reservation_price import ReservationPriceCalculator
 from repro.core.scheduler import EvaConfig, EvaScheduler
-from repro.sim.simulator import SpotConfig, run_simulation
+from repro.sim.processes.spot import SpotConfig
+from repro.sim.simulator import run_simulation
 from repro.workloads.synthetic import microbench_task_pool, synthetic_trace
 
 IT = InstanceType("t", "f", ResourceVector(0, 4, 8), 1.0)

@@ -32,14 +32,10 @@ from repro.core.failure import FailureAwareConfig, FailureAwareEvaScheduler
 from repro.core.interfaces import Scheduler
 from repro.core.protocol import InstanceFailed, StragglerReport
 from repro.sim.batch import Scenario, TraceSpec
-from repro.sim.simulator import (
-    ClusterSimulator,
-    FailureConfig,
-    RetryPolicy,
-    SpotConfig,
-    _JobRT,
-    run_simulation,
-)
+from repro.sim.environment import _JobRT
+from repro.sim.processes.failure import FailureConfig, RetryPolicy
+from repro.sim.processes.spot import SpotConfig
+from repro.sim.simulator import ClusterSimulator, run_simulation
 from repro.workloads.synthetic import synthetic_trace
 from repro.workloads.workloads import TABLE7_WORKLOADS
 
@@ -674,7 +670,7 @@ class TestFailureFingerprint:
         src_dir = Path(repro.__file__).resolve().parents[1]
         script = (
             "from repro.sim.batch import Scenario, TraceSpec\n"
-            "from repro.sim.simulator import FailureConfig, RetryPolicy\n"
+            "from repro.sim.processes.failure import FailureConfig, RetryPolicy\n"
             "s = Scenario(scheduler='eva',\n"
             "             trace=TraceSpec.make('synthetic', num_jobs=4, seed=0),\n"
             "             failures=FailureConfig(enabled=True,\n"

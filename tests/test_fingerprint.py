@@ -11,7 +11,7 @@ from repro.cloud.delays import DelayModel
 from repro.interference.model import InterferenceModel
 from repro.sim.batch import Scenario, TraceSpec, reseed
 from repro.sim.fingerprint import FingerprintError, canonical_json, fingerprint
-from repro.sim.simulator import SpotConfig
+from repro.sim.processes.spot import SpotConfig
 
 
 def _scenario(**overrides) -> Scenario:
@@ -148,7 +148,7 @@ class TestScenarioFingerprint:
             "from repro.cloud.delays import DelayModel\n"
             "from repro.interference.model import InterferenceModel\n"
             "from repro.sim.batch import Scenario, TraceSpec\n"
-            "from repro.sim.simulator import SpotConfig\n"
+            "from repro.sim.processes.spot import SpotConfig\n"
             "s = Scenario(scheduler='eva',"
             " trace=TraceSpec.make('alibaba', num_jobs=60, seed=3),"
             " interference=InterferenceModel(uniform_value=0.9),"

@@ -33,12 +33,9 @@ import pytest
 from repro.cloud.catalog import ec2_catalog
 from repro.core import make_scheduler
 from repro.cloud.market import CreditModel, MarketConfig, MarketPool
-from repro.sim.simulator import (
-    FailureConfig,
-    RetryPolicy,
-    SpotConfig,
-    run_simulation,
-)
+from repro.sim.processes.failure import FailureConfig, RetryPolicy
+from repro.sim.processes.spot import SpotConfig
+from repro.sim.simulator import run_simulation
 from repro.workloads.alibaba import (
     alibaba_gavel_trace,
     alibaba_multi_task_trace,

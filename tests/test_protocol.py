@@ -41,7 +41,8 @@ from repro.core.protocol import (
     throughput_reports,
 )
 from repro.core.scheduler import EvaScheduler, EvictionAwareEvaScheduler
-from repro.sim.simulator import ClusterSimulator, SpotConfig, run_simulation
+from repro.sim.processes.spot import SpotConfig
+from repro.sim.simulator import ClusterSimulator, run_simulation
 from repro.workloads.synthetic import synthetic_trace
 
 
@@ -535,7 +536,7 @@ class TestMasterUsesSharedExecutor:
         """Both backends execute through ClusterEnvironment.execute —
         the apply loop exists exactly once."""
         from repro.runtime.master import _RuntimeEnvironment
-        from repro.sim.simulator import _SimEnvironment
+        from repro.sim.environment import _SimEnvironment
 
         for backend in (_RuntimeEnvironment, _SimEnvironment):
             assert issubclass(backend, ClusterEnvironment)

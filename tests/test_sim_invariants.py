@@ -45,13 +45,9 @@ from repro.sim.accounting import (
 )
 from repro.sim.batch import Scenario, TraceSpec, run_batch
 from repro.sim.metrics import AllocationIntegrator, SimulationResult
-from repro.sim.simulator import (
-    ClusterSimulator,
-    FailureConfig,
-    RetryPolicy,
-    SpotConfig,
-    run_simulation,
-)
+from repro.sim.processes.failure import FailureConfig, RetryPolicy
+from repro.sim.processes.spot import SpotConfig
+from repro.sim.simulator import ClusterSimulator, run_simulation
 from repro.workloads.synthetic import synthetic_trace
 from repro.workloads.trace import Trace
 
@@ -609,8 +605,10 @@ class _NaiveFailureSimulator(ClusterSimulator):
 
     def _account_until(self, time_s: float) -> None:
         super()._account_until(time_s)
+        process = self._failure
         failures, restarts, lost, repairs, repair_s = naive_failure_totals(
-            self._failure_outcomes, self._repair_outcomes
+            process.failure_outcomes if process else (),
+            process.repair_outcomes if process else (),
         )
         self._acct.instance_failures = failures
         self._acct.task_restarts = restarts

@@ -1,12 +1,20 @@
 """Integration-grade unit tests for the cluster simulator (§5)."""
 
+import math
+
 import pytest
 
 from repro.baselines import NoPackingScheduler
+from repro.cloud.market import CreditModel, MarketConfig, MarketPool
 from repro.cloud.delays import DelayModel
 from repro.cluster.resources import ResourceVector
 from repro.core.scheduler import EvaScheduler
 from repro.interference.model import InterferenceModel, no_interference_model
+from repro.sim.engine import EventKind, SimulationError
+from repro.sim.processes.base import EventProcess
+from repro.sim.processes.failure import FailureConfig, FailureProcess
+from repro.sim.processes.market import MarketProcess
+from repro.sim.processes.spot import SpotConfig, SpotProcess
 from repro.sim.simulator import ClusterSimulator, run_simulation
 from repro.workloads.trace import Trace, sort_jobs_by_arrival
 from repro.workloads.workloads import workload
@@ -161,6 +169,92 @@ class TestLifecycle:
         trace = _trace([("A3C", 0.1, 0.0)])
         with pytest.raises(ValueError):
             ClusterSimulator(trace, NoPackingScheduler(catalog), period_s=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("period_s", math.nan),
+            ("period_s", math.inf),
+            ("period_s", -1.0),
+            ("max_sim_hours", math.nan),
+            ("max_sim_hours", math.inf),
+            ("max_sim_hours", 0.0),
+            ("deadline_warning_s", math.nan),
+            ("deadline_warning_s", math.inf),
+            ("deadline_warning_s", -1.0),
+        ],
+    )
+    def test_bad_scalars_raise_naming_the_field(self, catalog, field, value):
+        """NaN period died deep in round arming, an infinite one returned
+        an empty result, and NaN warning/runaway horizons silently
+        disabled their checks."""
+        trace = _trace([("A3C", 0.1, 0.0)])
+        with pytest.raises(ValueError, match=field):
+            ClusterSimulator(trace, NoPackingScheduler(catalog), **{field: value})
+
+
+_CORE_KINDS = {
+    EventKind.JOB_ARRIVAL,
+    EventKind.TASK_READY,
+    EventKind.JOB_FINISH,
+    EventKind.INSTANCE_TERMINATE,
+    EventKind.SCHEDULING_ROUND,
+}
+
+
+def _all_processes_sim(catalog):
+    market = MarketConfig(
+        enabled=True,
+        pools=(MarketPool(name="cpu", volatility=0.1, step_s=600.0),),
+        credits=CreditModel(families=("c7i",)),
+    )
+    return ClusterSimulator(
+        _trace([("A3C", 0.1, 0.0)]),
+        NoPackingScheduler(catalog),
+        spot=SpotConfig(enabled=True),
+        failures=FailureConfig(enabled=True, crash_rate_per_hour=0.1),
+        market=market,
+    )
+
+
+class TestDispatchTable:
+    def test_every_kind_has_one_handler_with_all_processes(self, catalog):
+        sim = _all_processes_sim(catalog)
+        assert [type(p) for p in sim._processes] == [
+            MarketProcess,
+            FailureProcess,
+            SpotProcess,
+        ]
+        assert set(sim._handlers) == set(EventKind)
+        for kind, handler in sim._handlers.items():
+            owner = handler.__self__
+            assert (owner is sim) == (kind in _CORE_KINDS), kind
+            assert owner is sim or owner in sim._processes, kind
+
+    def test_disabled_subsystems_construct_no_process(self, catalog, monkeypatch):
+        def refuse(self, sim):
+            raise AssertionError(f"{type(self).__name__} constructed")
+
+        monkeypatch.setattr(EventProcess, "__init__", refuse)
+        sim = ClusterSimulator(
+            _trace([("A3C", 0.1, 0.0)]),
+            NoPackingScheduler(catalog),
+            spot=SpotConfig(),
+            failures=FailureConfig(crash_rate_per_hour=0.1),
+            market=MarketConfig(pools=(MarketPool(name="cpu"),)),
+        )
+        assert sim._processes == []
+        assert set(sim._handlers) == _CORE_KINDS
+
+    def test_two_owners_of_one_kind_raise(self, catalog, monkeypatch):
+        claims = SpotProcess.handlers
+
+        def greedy(self):
+            return {**claims(self), EventKind.INSTANCE_FAILURE: print}
+
+        monkeypatch.setattr(SpotProcess, "handlers", greedy)
+        with pytest.raises(SimulationError, match="INSTANCE_FAILURE"):
+            _all_processes_sim(catalog)
 
 
 class TestMetricsPlumbing:

@@ -48,7 +48,8 @@ from repro.core.protocol import (
     SpotEvictionNotice,
 )
 from repro.sim.batch import Scenario, TraceSpec, reseed, run_batch
-from repro.sim.simulator import SpotConfig, run_simulation
+from repro.sim.processes.spot import SpotConfig
+from repro.sim.simulator import run_simulation
 from repro.workloads.synthetic import synthetic_trace
 
 
