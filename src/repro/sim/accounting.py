@@ -49,14 +49,6 @@ class ClusterAccounting:
         deadline_lateness_s: Running sum of per-job lateness
             (``max(0, finish - deadline)``), accumulated in finish order
             — one O(1) update per job completion, never a re-scan.
-        instance_failures: Injected instance kills (crashes + shocks).
-        task_restarts: Tasks knocked back to the queue by failures.
-        work_lost_h: Standalone-hours of progress rolled back to the
-            last checkpoint, accumulated per affected job in the exact
-            (event, sorted job id) order the failure records keep, so
-            :func:`naive_failure_totals` reproduces it bit for bit.
-        repairs: Closed job outages (failure until rate recovery).
-        repair_time_s: Running sum of outage durations (MTTR numerator).
     """
 
     __slots__ = (
@@ -67,11 +59,6 @@ class ClusterAccounting:
         "deadline_jobs",
         "deadline_misses",
         "deadline_lateness_s",
-        "instance_failures",
-        "task_restarts",
-        "work_lost_h",
-        "repairs",
-        "repair_time_s",
     )
 
     def __init__(self) -> None:
@@ -82,11 +69,6 @@ class ClusterAccounting:
         self.deadline_jobs = 0
         self.deadline_misses = 0
         self.deadline_lateness_s = 0.0
-        self.instance_failures = 0
-        self.task_restarts = 0
-        self.work_lost_h = 0.0
-        self.repairs = 0
-        self.repair_time_s = 0.0
 
     # ------------------------------------------------------------------
     # Deltas
@@ -129,33 +111,6 @@ class ClusterAccounting:
             self.deadline_misses += 1
             self.deadline_lateness_s += lateness_s
 
-    def instance_failed(self) -> None:
-        """One instance was killed by fault injection."""
-        self.instance_failures += 1
-
-    def task_restarted(self) -> None:
-        """One task lost its instance to a failure and will retry."""
-        self.task_restarts += 1
-
-    def job_work_lost(self, lost_h: float) -> None:
-        """A job rolled back ``lost_h`` standalone-hours to its checkpoint.
-
-        Called once per (failure event, affected job) in sorted job-id
-        order — the order :class:`~repro.sim.metrics.FailureOutcome`
-        records keep — so the running sum is deterministic and
-        :func:`naive_failure_totals` matches bit for bit.
-        """
-        if lost_h < 0:
-            raise ValueError(f"lost_h must be >= 0, got {lost_h}")
-        self.work_lost_h += lost_h
-
-    def job_repaired(self, outage_s: float) -> None:
-        """A failed job's rate recovered after ``outage_s`` seconds."""
-        if outage_s < 0:
-            raise ValueError(f"outage_s must be >= 0, got {outage_s}")
-        self.repairs += 1
-        self.repair_time_s += outage_s
-
     # ------------------------------------------------------------------
     # Reference implementation + cross-check
     # ------------------------------------------------------------------
@@ -163,7 +118,7 @@ class ClusterAccounting:
         self,
         instances: Mapping[str, object],
         tasks: Mapping[str, object],
-        deadline_outcomes: Sequence[object] | None = None,
+        deadline_outcomes: Sequence[object],
     ) -> None:
         """Assert the incremental totals match a naive re-scan.
 
@@ -189,52 +144,18 @@ class ClusterAccounting:
                     raise AccountingDriftError(
                         f"{label}[{r}] drift: incremental {inc!r} vs naive {ref!r}"
                     )
-        if deadline_outcomes is not None:
-            jobs, misses, lateness = naive_deadline_totals(deadline_outcomes)
-            if jobs != self.deadline_jobs or misses != self.deadline_misses:
-                raise AccountingDriftError(
-                    f"deadline count drift: incremental ({self.deadline_jobs} "
-                    f"jobs, {self.deadline_misses} misses) vs naive "
-                    f"({jobs}, {misses})"
-                )
-            # Same additions in the same (finish) order: bit-for-bit.
-            if lateness != self.deadline_lateness_s:
-                raise AccountingDriftError(
-                    f"deadline lateness drift: incremental "
-                    f"{self.deadline_lateness_s!r} vs naive {lateness!r}"
-                )
-
-    def verify_failures(
-        self,
-        failure_outcomes: Sequence[object],
-        repair_outcomes: Sequence[object],
-    ) -> None:
-        """Cross-check the reliability counters against
-        :func:`naive_failure_totals` over the dispatch-order records."""
-        failures, restarts, lost, repairs, repair_s = naive_failure_totals(
-            failure_outcomes, repair_outcomes
-        )
-        if (
-            failures != self.instance_failures
-            or restarts != self.task_restarts
-            or repairs != self.repairs
-        ):
+        jobs, misses, lateness = naive_deadline_totals(deadline_outcomes)
+        if jobs != self.deadline_jobs or misses != self.deadline_misses:
             raise AccountingDriftError(
-                f"reliability count drift: incremental "
-                f"({self.instance_failures} failures, "
-                f"{self.task_restarts} restarts, {self.repairs} repairs) "
-                f"vs naive ({failures}, {restarts}, {repairs})"
+                f"deadline count drift: incremental ({self.deadline_jobs} "
+                f"jobs, {self.deadline_misses} misses) vs naive "
+                f"({jobs}, {misses})"
             )
-        # Same additions in the same (event, job) order: bit-for-bit.
-        if lost != self.work_lost_h:
+        # Same additions in the same (finish) order: bit-for-bit.
+        if lateness != self.deadline_lateness_s:
             raise AccountingDriftError(
-                f"work-lost drift: incremental {self.work_lost_h!r} "
-                f"vs naive {lost!r}"
-            )
-        if repair_s != self.repair_time_s:
-            raise AccountingDriftError(
-                f"repair-time drift: incremental {self.repair_time_s!r} "
-                f"vs naive {repair_s!r}"
+                f"deadline lateness drift: incremental "
+                f"{self.deadline_lateness_s!r} vs naive {lateness!r}"
             )
 
 

@@ -547,23 +547,13 @@ def reseed(scenario: Scenario, seed: int) -> Scenario:
                 (k, seed if k == "seed" else v) for k, v in trace.kwargs
             ),
         )
-    spot = scenario.spot
-    if spot is not None:
-        spot = replace(spot, seed=seed)
-    failures = scenario.failures
-    if failures is not None:
-        failures = replace(failures, seed=seed)
-    market = scenario.market
-    if market is not None:
-        market = replace(market, seed=seed)
-    return replace(
-        scenario,
-        seed=seed,
-        trace=trace,
-        spot=spot,
-        failures=failures,
-        market=market,
-    )
+    # The event-process configs each carry their own stream seed.
+    configs = {
+        name: replace(config, seed=seed)
+        for name in ("spot", "failures", "market")
+        if (config := getattr(scenario, name)) is not None
+    }
+    return replace(scenario, seed=seed, trace=trace, **configs)
 
 
 @dataclass(frozen=True)

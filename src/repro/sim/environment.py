@@ -1,10 +1,4 @@
-"""Simulator runtime records and the action-protocol backend.
-
-The records (:class:`_JobRT`, :class:`_TaskRT`, :class:`_InstanceRT`)
-are the discrete-event state :class:`~repro.sim.simulator.ClusterSimulator`
-and its event processes mutate; :class:`_SimEnvironment` applies
-scheduler decisions to them.
-"""
+"""The simulator's runtime records and its action-protocol backend."""
 
 from __future__ import annotations
 
@@ -12,6 +6,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
+from repro.cluster.instance import Instance
 from repro.cluster.task import Job, Task
 from repro.core.protocol import (
     AssignTask,
@@ -57,7 +52,6 @@ class _JobRT:
     idle_h: float = 0.0
     finish_version: int = 0
     finished: bool = False
-    finish_s: float = 0.0
     #: Immutable task_id → Task map, built once at arrival and reused by
     #: every snapshot instead of re-walking ``job.tasks``.
     task_map: dict[str, Task] = field(default_factory=dict)
@@ -106,7 +100,7 @@ class _JobRT:
 
 @dataclass
 class _InstanceRT:
-    instance_state_instance: object  # Instance; kept loose to avoid import cycle
+    instance: Instance
     ready_time_s: float
     assigned: set[str] = field(default_factory=set)
     alive: bool = True
@@ -132,10 +126,6 @@ class _InstanceRT:
     #: process-global counter, so embedding one would break run-to-run
     #: and serial-vs-parallel byte identity.
     launch_index: int = 0
-
-    @property
-    def instance(self):
-        return self.instance_state_instance
 
     @property
     def instance_id(self) -> str:
@@ -184,7 +174,7 @@ class _SimEnvironment(ClusterEnvironment):
             spot=spot_launch,
         )
         rt = _InstanceRT(
-            instance_state_instance=instance,
+            instance=instance,
             ready_time_s=receipt.ready_time_s,
             launch_index=sim._launch_seq,
             spot=spot_launch,
@@ -245,11 +235,7 @@ class _SimEnvironment(ClusterEnvironment):
         """
         sim = self._sim
         task = task_rt.task
-        src_rt = sim._instances[src]
-        src_rt.assigned.discard(task.task_id)
-        src_rt.invalidate()
-        if src_rt.alive:
-            sim._acct.task_unassigned(task, src_rt.instance.instance_type)
+        sim._unbind(task, sim._instances[src])
         done = sim.now_s + sim.delay_model.checkpoint_s(task.migration.checkpoint_s)
         self._hold_until[src] = max(self._hold_until.get(src, 0.0), done)
         return done

@@ -11,14 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from statistics import mean
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.cluster.resources import RESOURCE_NAMES
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.accounting import ClusterAccounting
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,21 +152,6 @@ class AllocationIntegrator:
             self.capacity_integral[r] += capacity[r] * dt_s
         self.task_instance_integral += num_tasks_assigned * dt_s
         self.instance_time_integral += num_instances * dt_s
-
-    def accumulate_totals(self, dt_s: float, totals: "ClusterAccounting") -> None:
-        """Accumulate from incrementally maintained cluster aggregates.
-
-        Same arithmetic as :meth:`accumulate`; takes the running totals a
-        :class:`~repro.sim.accounting.ClusterAccounting` maintains so the
-        simulator's per-event accounting stays O(delta).
-        """
-        self.accumulate(
-            dt_s,
-            totals.allocated,
-            totals.capacity,
-            totals.num_tasks,
-            totals.num_instances,
-        )
 
     def allocation_ratios(self) -> dict[str, float]:
         return {

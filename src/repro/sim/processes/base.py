@@ -1,15 +1,8 @@
 """The simulator's event-process interface.
 
-An event process is one scenario subsystem — spot eviction
-(:mod:`.spot`), fault injection (:mod:`.failure`), market prices and
-credits (:mod:`.market`) — with its config, RNG streams, counters and
-event handlers in one module.  :class:`~repro.sim.simulator.ClusterSimulator`
-constructs a process only when its config enables it, so the default
-path registers none and pays no per-launch hook cost.
-
-Processes mutate the simulator's state through its instance-loss and
-throughput-factor helpers and its runtime tables, as the action backend
-does.
+A process is one scenario subsystem (spot, failure, market) with its
+config, RNG streams, counters and handlers in one module; the simulator
+constructs it only when its config enables it.
 """
 
 from __future__ import annotations
@@ -30,33 +23,24 @@ Handler = Callable[[Any], None]
 class EventProcess:
     """One scenario subsystem of the simulator; every hook is a no-op."""
 
-    def __init__(self, sim: ClusterSimulator) -> None:
+    def __init__(self, sim: ClusterSimulator, config: Any) -> None:
         self.sim = sim
+        self.config = config
 
     def handlers(self) -> Mapping[EventKind, Handler]:
-        """The event kinds this process owns, each with its handler.
-
-        A kind has exactly one owner: the simulator refuses a second
-        claim at construction.
-        """
+        """The event kinds this process owns (one owner per kind)."""
         return {}
 
     def arm(self) -> None:
         """Push the process's self-scheduling events at run start."""
 
     def on_launch(self, rt: _InstanceRT, receipt: LaunchReceipt) -> None:
-        """Draw and push the per-instance events of a fresh launch.
-
-        Called in process order (market, failure, spot), which fixes the
-        push order of same-timestamp events and each stream's draws.
-        """
+        """Draw and push the per-instance events of a fresh launch."""
 
     def result_fields(self) -> dict[str, Any]:
         """This process's :class:`~repro.sim.metrics.SimulationResult` fields."""
         return {}
 
     def verify(self) -> None:
-        """Cross-check incremental totals against a naive re-scan.
-
-        Called on every accounting step of a ``validate=True`` run.
-        """
+        """Cross-check incremental totals against a naive re-scan
+        (every accounting step of a ``validate=True`` run)."""

@@ -8,6 +8,7 @@ import numpy as np
 
 from repro.cloud.market import _require_finite
 from repro.core.protocol import InstanceFailed
+from repro.sim.accounting import AccountingDriftError, naive_failure_totals
 from repro.sim.engine import Event, EventKind
 from repro.sim.metrics import FailureOutcome, RepairOutcome
 from repro.sim.processes.base import EventProcess
@@ -126,8 +127,7 @@ class FailureProcess(EventProcess):
     """
 
     def __init__(self, sim, config: FailureConfig):
-        super().__init__(sim)
-        self.config = config
+        super().__init__(sim, config)
         #: Two independent streams (see :class:`FailureConfig`): one for
         #: per-launch draws (crash lifetime, straggler onset + factor),
         #: one for the domain-shock Poisson process, so shock timing does
@@ -137,6 +137,11 @@ class FailureProcess(EventProcess):
         self._next_domain = 0
         self.failure_outcomes: list[FailureOutcome] = []
         self.repair_outcomes: list[RepairOutcome] = []
+        #: O(1)-per-event totals.  Work lost accumulates per affected job
+        #: in the (event, sorted job id) order the failure records keep,
+        #: so :func:`naive_failure_totals` reproduces it bit for bit.
+        self.task_restarts = 0
+        self.work_lost_h = 0.0
         sim._ckpt_interval_s = config.retry.checkpoint_interval_s
         sim._ckpt_rate_mult = 1.0 - config.retry.checkpoint_overhead
 
@@ -185,27 +190,32 @@ class FailureProcess(EventProcess):
             )
 
     def result_fields(self):
-        acct = self.sim._acct
         return {
             "failure_outcomes": tuple(self.failure_outcomes),
             "repair_outcomes": tuple(self.repair_outcomes),
-            "task_restarts": acct.task_restarts,
-            "work_lost_h": acct.work_lost_h,
+            "task_restarts": self.task_restarts,
+            "work_lost_h": self.work_lost_h,
         }
 
     def verify(self) -> None:
-        self.sim._acct.verify_failures(self.failure_outcomes, self.repair_outcomes)
+        _, restarts, lost, _, _ = naive_failure_totals(
+            self.failure_outcomes, self.repair_outcomes
+        )
+        # Same additions in the same (event, job) order: bit-for-bit.
+        if restarts != self.task_restarts or lost != self.work_lost_h:
+            raise AccountingDriftError(
+                f"reliability drift: incremental ({self.task_restarts}, "
+                f"{self.work_lost_h!r}) vs naive ({restarts}, {lost!r})"
+            )
 
     def job_recovered(self, job_id: str, job_rt) -> None:
         """Close a job's outage at its first positive rate since a failure
         (per-job MTTR accumulates from these)."""
-        sim = self.sim
-        sim._acct.job_repaired(sim.now_s - job_rt.outage_start_s)
         self.repair_outcomes.append(
             RepairOutcome(
                 job_id=job_id,
                 failed_s=job_rt.outage_start_s,
-                recovered_s=sim.now_s,
+                recovered_s=self.sim.now_s,
             )
         )
         job_rt.outage_start_s = None
@@ -252,14 +262,11 @@ class FailureProcess(EventProcess):
             # The process is self-scheduling: each shock arms the next,
             # keeping the queue bounded without knowing the makespan.
             self._schedule_next_shock()
-            if victims:
-                sim._ensure_round_scheduled()
             return
         rt = sim._instances.get(target)
         if rt is None or not rt.alive:
             return  # stale crash draw: instance already gone
         self._fail_instance(target, kind="crash")
-        sim._ensure_round_scheduled()
 
     def _fail_instance(self, instance_id: str, kind: str) -> None:
         """Abruptly kill one instance: rollback, restarts, accounting."""
@@ -269,7 +276,7 @@ class FailureProcess(EventProcess):
         affected, requeued = sim._lose_instance(instance_id)
         for task_rt in requeued:
             task_rt.failures += 1
-            sim._acct.task_restarted()
+            self.task_restarts += 1
             if retry.backoff_base_s > 0:
                 delay = min(
                     retry.backoff_cap_s,
@@ -289,11 +296,10 @@ class FailureProcess(EventProcess):
                 # resume_version bump makes the loss observable as real
                 # re-execution, not just bookkeeping.
                 job_rt.work_done_h = job_rt.ckpt_work_h
-                sim._acct.job_work_lost(lost)
+                self.work_lost_h += lost
                 job_losses.append((jid, lost))
             if job_rt.outage_start_s is None:
                 job_rt.outage_start_s = sim.now_s
-        sim._acct.instance_failed()
         self.failure_outcomes.append(
             FailureOutcome(
                 instance_index=rt.launch_index,
@@ -304,7 +310,7 @@ class FailureProcess(EventProcess):
                 job_losses=tuple(job_losses),
             )
         )
-        sim._pending_obs.append(
+        sim._observe(
             InstanceFailed(
                 instance_id=instance_id,
                 time_s=sim.now_s,

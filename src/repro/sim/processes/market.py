@@ -1,10 +1,4 @@
-"""Market economics: pool price walks, finite capacity and burstable credits.
-
-The config (:class:`~repro.cloud.market.MarketConfig`) and the price
-processes (:class:`~repro.cloud.market.MarketRuntime`) live in
-:mod:`repro.cloud.market`; this process attaches the runtime to the
-simulated cloud and owns the events and counters.
-"""
+"""Market events: pool price changes, pool exhaustion, credit exhaustion."""
 
 from __future__ import annotations
 
@@ -18,13 +12,11 @@ class MarketProcess(EventProcess):
     """Price changes, pool exhaustion and CPU-credit exhaustion."""
 
     def __init__(self, sim, config: MarketConfig):
-        super().__init__(sim)
+        super().__init__(sim, config)
         self.runtime = MarketRuntime(config)
         # Launches price through the pool multiplier, charge pool
         # capacity and pay backlog delays once the runtime is attached.
         sim.cloud.market = self.runtime
-        credits = config.credits
-        self._credits = credits if credits is not None and credits.families else None
         self._price_changes = 0
         self._pool_exhaustions = 0
         self._credit_exhaustions = 0
@@ -55,7 +47,7 @@ class MarketProcess(EventProcess):
                     families=self.runtime.pool(index).families,
                 )
             )
-        credits = self._credits
+        credits = self.config.credits
         if credits is not None and family in credits.families:
             # Exhaustion is deterministic from the launch timestamp
             # (fixed net burn while billed; see CreditModel).
@@ -97,11 +89,9 @@ class MarketProcess(EventProcess):
         for iid in rt.members_of(pool_index):
             inst = sim._instances[iid]
             itype = inst.instance.instance_type
-            discount = sim.cloud.spot_discount if inst.spot else 1.0
-            sim.cloud.ledger.change_rate(
-                iid, sim.now_s, itype.hourly_cost * discount * new
-            )
-        sim._pending_obs.append(
+            rate = sim.cloud.price_at(itype, sim.now_s, spot=inst.spot)
+            sim.cloud.ledger.change_rate(iid, sim.now_s, rate)
+        sim._observe(
             PriceChanged(
                 pool=pool.name,
                 time_s=sim.now_s,
@@ -110,7 +100,6 @@ class MarketProcess(EventProcess):
                 families=pool.families,
             )
         )
-        sim._ensure_round_scheduled()
 
     def _on_credit_exhausted(self, instance_id: str) -> None:
         """A burstable instance runs out of CPU credits.
@@ -126,5 +115,5 @@ class MarketProcess(EventProcess):
             return  # stale draw: the instance died first, or already burnt
         self._credit_exhaustions += 1
         self.sim._set_throughput_factor(
-            rt, "credit_mult", self._credits.baseline_fraction
+            rt, "credit_mult", self.config.credits.baseline_fraction
         )

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.cloud.market import _require_finite
 from repro.core.protocol import SpotEvictionNotice
 from repro.sim.engine import Event, EventKind
 from repro.sim.processes.base import EventProcess
@@ -43,15 +43,10 @@ class SpotConfig:
 
     def __post_init__(self) -> None:
         if self.enabled:
-            if not math.isfinite(self.preemption_rate_per_hour):
-                raise ValueError(
-                    f"preemption rate must be finite, "
-                    f"got {self.preemption_rate_per_hour}"
-                )
+            _require_finite("preemption_rate_per_hour", self.preemption_rate_per_hour)
             if self.preemption_rate_per_hour <= 0:
                 raise ValueError("preemption rate must be positive when enabled")
-        if not math.isfinite(self.notice_s):
-            raise ValueError(f"notice_s must be finite, got {self.notice_s}")
+        _require_finite("notice_s", self.notice_s)
         if self.notice_s < 0:
             raise ValueError("notice_s must be >= 0")
 
@@ -60,18 +55,9 @@ class SpotProcess(EventProcess):
     """Preemption lifetimes and eviction notices of spot launches."""
 
     def __init__(self, sim, config: SpotConfig):
-        super().__init__(sim)
-        self.config = config
+        super().__init__(sim, config)
         self._rng = np.random.default_rng(config.seed)
         self._preemptions = 0
-        market = sim.cloud.market
-        #: The attached market when its price couples into the eviction
-        #: hazard; None keeps the legacy draw arithmetic untouched.
-        self._coupled_market = (
-            market
-            if market is not None and market.config.eviction_coupling != 0.0
-            else None
-        )
 
     def handlers(self):
         return {
@@ -84,10 +70,11 @@ class SpotProcess(EventProcess):
             return  # the scheduler opted this launch out of the market
         sim = self.sim
         rate_per_hour = self.config.preemption_rate_per_hour
-        market = self._coupled_market
-        if market is not None:
+        market = sim.cloud.market
+        if market is not None and market.config.eviction_coupling != 0.0:
             # Price pressure at launch scales the eviction hazard: hot
-            # markets reclaim discounted capacity faster.
+            # markets reclaim discounted capacity faster.  The guard
+            # keeps the legacy draw arithmetic untouched otherwise.
             mult = market.multiplier_at(rt.instance.instance_type, sim.now_s)
             if mult != 1.0:
                 rate_per_hour = rate_per_hour * (
@@ -122,12 +109,11 @@ class SpotProcess(EventProcess):
         rt = sim._instances.get(instance_id)
         if rt is None or not rt.alive:
             return
-        sim._pending_obs.append(
+        sim._observe(
             SpotEvictionNotice(
                 instance_id=instance_id, eviction_time_s=eviction_time_s
             )
         )
-        sim._ensure_round_scheduled()
 
     def _on_preemption(self, instance_id: str) -> None:
         """The spot market reclaims an instance: tasks return to the queue.

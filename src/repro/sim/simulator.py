@@ -17,7 +17,7 @@ paid-but-idle time (§2.3).
 from __future__ import annotations
 
 import math
-from typing import Literal, Sequence
+from typing import Any, Literal, Sequence
 
 from repro.cloud.delays import DelayModel
 from repro.cloud.market import MarketConfig
@@ -128,11 +128,9 @@ class ClusterSimulator:
         self.validate = validate
         self.max_sim_hours = max_sim_hours
         self._launch_seq = 0
-        #: Checkpoint cadence of every arriving job and the throughput
-        #: multiplier charging checkpoint overhead against every running
-        #: job.  Neutral (no checkpoints, exactly 1.0) unless fault
-        #: injection sets them, keeping the fault-free rate arithmetic
-        #: byte-identical.
+        #: Checkpoint cadence of arriving jobs and the checkpoint-overhead
+        #: rate multiplier; neutral unless fault injection sets them, so
+        #: the fault-free rate arithmetic stays byte-identical.
         self._ckpt_interval_s: float | None = None
         self._ckpt_rate_mult = 1.0
         #: Set once any instance's throughput factor left 1.0; until then
@@ -146,7 +144,6 @@ class ClusterSimulator:
         self._jobs: dict[str, _JobRT] = {}
         self._tasks: dict[str, _TaskRT] = {}
         self._instances: dict[str, _InstanceRT] = {}
-        self._terminate_holds: dict[str, float] = {}
         #: Epoch counter over placement-visible state: live jobs/tasks,
         #: task statuses, and task-to-instance assignments.  Everything
         #: the per-round snapshot and throughput reports are computed
@@ -207,14 +204,12 @@ class ClusterSimulator:
         # and notice (the market attaches its runtime to the cloud before
         # spot reads it for the eviction coupling).
         market_process = (
-            MarketProcess(self, market) if market is not None and market.active else None
+            MarketProcess(self, market) if market and market.active else None
         )
         self._failure = (
-            FailureProcess(self, failures)
-            if failures is not None and failures.enabled
-            else None
+            FailureProcess(self, failures) if failures and failures.enabled else None
         )
-        self._spot = SpotProcess(self, spot) if spot is not None and spot.enabled else None
+        self._spot = SpotProcess(self, spot) if spot and spot.enabled else None
         self._processes: list[EventProcess] = [
             p for p in (market_process, self._failure, self._spot) if p is not None
         ]
@@ -319,7 +314,11 @@ class ClusterSimulator:
         for task in job.tasks:
             self._tasks[task.task_id] = _TaskRT(task=task)
         self._placement_epoch += 1
-        self._pending_obs.append(JobArrived(job_id=job.job_id, time_s=self.now_s))
+        self._observe(JobArrived(job_id=job.job_id, time_s=self.now_s))
+
+    def _observe(self, observation: Observation) -> None:
+        """Queue ``observation`` for the scheduler and arm a round for it."""
+        self._pending_obs.append(observation)
         self._ensure_round_scheduled()
 
     def _ensure_round_scheduled(self) -> None:
@@ -522,21 +521,14 @@ class ClusterSimulator:
         self._advance_all(affected)
 
         job_rt.finished = True
-        job_rt.finish_s = self.now_s
         self._placement_epoch += 1
         self._finished_jobs += 1
         for task in job_rt.job.tasks:
-            task_rt = self._tasks[task.task_id]
-            iid = task_rt.instance_id
-            if iid is not None and iid in self._instances:
-                inst = self._instances[iid]
-                inst.assigned.discard(task.task_id)
-                inst.invalidate()
-                if inst.alive:
-                    self._acct.task_unassigned(task, inst.instance.instance_type)
-                    if not inst.assigned:
-                        self._instance_down(iid, inst)
-            del self._tasks[task.task_id]
+            inst = self._instances.get(self._tasks.pop(task.task_id).instance_id)
+            if inst is not None:
+                self._unbind(task, inst)
+                if inst.alive and not inst.assigned:
+                    self._instance_down(inst.instance_id, inst)
         self._outcomes.append(
             JobOutcome(
                 job_id=job_id,
@@ -566,8 +558,7 @@ class ClusterSimulator:
         self._refresh_rates(affected)
 
     # ------------------------------------------------------------------
-    # Instance loss, take-down and throughput factors (shared by the
-    # event processes)
+    # Instance loss and degradation (shared with the event processes)
     # ------------------------------------------------------------------
     def _lose_instance(self, instance_id: str) -> tuple[set[str], list[_TaskRT]]:
         """A live instance vanishes with its tasks (preemption, crash).
@@ -595,6 +586,14 @@ class ClusterSimulator:
         self._instance_down(instance_id, rt)
         return affected, requeued
 
+    def _unbind(self, task: Task, inst: _InstanceRT) -> None:
+        """Take ``task`` off ``inst``; its demand leaves the totals if
+        ``inst`` is still up."""
+        inst.assigned.discard(task.task_id)
+        inst.invalidate()
+        if inst.alive:
+            self._acct.task_unassigned(task, inst.instance.instance_type)
+
     def _instance_down(
         self, instance_id: str, rt: _InstanceRT, release_s: float = 0.0
     ) -> None:
@@ -610,44 +609,35 @@ class ClusterSimulator:
             self.cloud.terminate(instance_id, self.now_s)
             del self._instances[instance_id]
         else:
-            self._terminate_holds[instance_id] = release_s
             self.queue.push(
                 Event(release_s, EventKind.INSTANCE_TERMINATE, instance_id)
             )
 
     def _set_throughput_factor(
-        self,
-        rt: _InstanceRT,
-        factor: Literal["slowdown", "credit_mult"],
-        value: float,
+        self, rt: _InstanceRT, factor: Literal["slowdown", "credit_mult"], value: float
     ) -> None:
         """Set one of an instance's throughput multipliers and report it.
 
-        Jobs on the instance advance under the old rate first.  Reported
-        rates are placement-visible state, so the epoch moves and the
-        snapshot/report caches rebuild.  Schedulers learn of the new
-        factor as a ``StragglerReport`` (slow, not down) at the round
-        this arms.
+        Jobs on the instance advance under the old rate first; the epoch
+        moves because reported rates are placement-visible.  Schedulers
+        see the factor as a ``StragglerReport`` (slow, not down).
         """
         affected = self._jobs_sharing_instance(rt.instance_id)
         self._advance_all(affected)
         setattr(rt, factor, value)
         self._degraded = True
         self._placement_epoch += 1
-        self._pending_obs.append(
+        self._observe(
             StragglerReport(
                 instance_id=rt.instance_id, time_s=self.now_s, slowdown=value
             )
         )
         self._refresh_rates(affected)
-        self._ensure_round_scheduled()
 
     def _on_instance_terminate(self, instance_id: str) -> None:
-        when = self._terminate_holds.pop(instance_id, None)
-        if when is None:
-            return
+        """A checkpoint hold ends: the held instance stops billing."""
         self.cloud.terminate(instance_id, self.now_s)
-        self._instances.pop(instance_id, None)
+        del self._instances[instance_id]
 
     def _drain_terminations(self) -> None:
         """Flush checkpoint-hold terminations left in the queue at the end."""
@@ -762,33 +752,19 @@ class ClusterSimulator:
             self._acct.verify(self._instances, self._tasks, self._deadline_outcomes)
             for process in self._processes:
                 process.verify()
-        self._alloc.accumulate_totals(dt, self._acct)
+        acct = self._acct
+        self._alloc.accumulate(
+            dt, acct.allocated, acct.capacity, acct.num_tasks, acct.num_instances
+        )
         self._accounting_time_s = time_s
 
 
 def run_simulation(
-    trace: Trace,
-    scheduler: Scheduler,
-    interference: InterferenceModel | None = None,
-    delay_model: DelayModel | None = None,
-    period_s: float = DEFAULT_PERIOD_S,
-    validate: bool = False,
-    spot: SpotConfig | None = None,
-    deadline_warning_s: float | None = None,
-    failures: FailureConfig | None = None,
-    market: MarketConfig | None = None,
+    trace: Trace, scheduler: Scheduler, **options: Any
 ) -> SimulationResult:
-    """Convenience wrapper: simulate ``trace`` under ``scheduler``."""
-    sim = ClusterSimulator(
-        trace=trace,
-        scheduler=scheduler,
-        interference=interference,
-        delay_model=delay_model,
-        period_s=period_s,
-        validate=validate,
-        spot=spot,
-        deadline_warning_s=deadline_warning_s,
-        failures=failures,
-        market=market,
-    )
-    return sim.run()
+    """Convenience wrapper: simulate ``trace`` under ``scheduler``.
+
+    ``options`` are :class:`ClusterSimulator`'s keyword arguments, so a
+    new simulator knob needs no second registration here.
+    """
+    return ClusterSimulator(trace, scheduler, **options).run()

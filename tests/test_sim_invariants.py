@@ -598,7 +598,7 @@ class _NaiveFailureSimulator(ClusterSimulator):
     """Recomputes the reliability aggregates from scratch every step.
 
     Same pattern as :class:`_NaiveSLOSimulator`, for the failure side:
-    the O(1)-per-event restart/work-lost/repair counters are overwritten
+    the O(1)-per-event restart/work-lost counters are overwritten
     with a full replay of the dispatch-order records — results must stay
     byte-identical to the incremental path.
     """
@@ -606,15 +606,12 @@ class _NaiveFailureSimulator(ClusterSimulator):
     def _account_until(self, time_s: float) -> None:
         super()._account_until(time_s)
         process = self._failure
-        failures, restarts, lost, repairs, repair_s = naive_failure_totals(
-            process.failure_outcomes if process else (),
-            process.repair_outcomes if process else (),
-        )
-        self._acct.instance_failures = failures
-        self._acct.task_restarts = restarts
-        self._acct.work_lost_h = lost
-        self._acct.repairs = repairs
-        self._acct.repair_time_s = repair_s
+        if process is not None:
+            _, restarts, lost, _, _ = naive_failure_totals(
+                process.failure_outcomes, process.repair_outcomes
+            )
+            process.task_restarts = restarts
+            process.work_lost_h = lost
 
 
 class TestFuzzedScenarioInvariants:

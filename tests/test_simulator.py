@@ -232,7 +232,7 @@ class TestDispatchTable:
             assert owner is sim or owner in sim._processes, kind
 
     def test_disabled_subsystems_construct_no_process(self, catalog, monkeypatch):
-        def refuse(self, sim):
+        def refuse(self, sim, config):
             raise AssertionError(f"{type(self).__name__} constructed")
 
         monkeypatch.setattr(EventProcess, "__init__", refuse)
