@@ -10,7 +10,7 @@ from repro.cloud.delays import DelayModel
 from repro.cluster.resources import ResourceVector
 from repro.core.scheduler import EvaScheduler
 from repro.interference.model import InterferenceModel, no_interference_model
-from repro.sim.engine import EventKind, SimulationError
+from repro.sim.engine import Event, EventKind, SimulationError
 from repro.sim.processes.base import EventProcess
 from repro.sim.processes.failure import FailureConfig, FailureProcess
 from repro.sim.processes.market import MarketProcess
@@ -245,6 +245,8 @@ class TestDispatchTable:
         )
         assert sim._processes == []
         assert set(sim._handlers) == _CORE_KINDS
+        with pytest.raises(SimulationError, match="INSTANCE_FAILURE"):
+            sim._dispatch(Event(0.0, EventKind.INSTANCE_FAILURE, ("instance", "i")))
 
     def test_two_owners_of_one_kind_raise(self, catalog, monkeypatch):
         claims = SpotProcess.handlers
